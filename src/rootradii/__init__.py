@@ -6,7 +6,6 @@ sign change, refine with bracketed Newton.  Complex roots: intersect three
 families of thin annuli built from root radii of shifted polynomials.
 """
 
-from ._kernels import NUMBA_ENABLED
 from .complexiso import (
     Annulus,
     AnnulusFamily,
@@ -58,7 +57,6 @@ from .realiso import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "NUMBA_ENABLED",
     "Polynomial",
     "PrecisionLossError",
     "evaluate",

@@ -14,36 +14,32 @@ more than ``CANCEL_LIMIT`` bits below its largest contributing term is zeroed
 (dropped from the hull) rather than trusted, and the caller sees the step
 flagged when an anchor coefficient (constant or leading) is lost.
 
-These kernels are scalar error-free-transformation sequences, so there is no
-separate numpy formulation; under ``ROOTRADII_NO_NUMBA`` the same code simply
-runs uncompiled.
+The error-free transformations are scalar sequences run in plain Python.
+Callers look ``taylor_shift_dd``, ``mantexp_dd`` and ``graeffe_step_me_dd`` up
+on the module at call time, so a wrapper installed on the module (for tracing)
+sees every call.
 """
 
 import math
 
 import numpy as np
 
-from ._kernels import njit
-
 _SPLITTER = 134217729.0  # 2**27 + 1
 CANCEL_LIMIT = 90.0  # bits of cancellation beyond which a coefficient is unreliable
 _SHIFT_CUTOFF = 240  # terms this many bits below the max cannot move a 106-bit sum
 
 
-@njit(cache=True)
 def _two_sum(a, b):
     s = a + b
     bb = s - a
     return s, (a - (s - bb)) + (b - bb)
 
 
-@njit(cache=True)
 def _quick_two_sum(a, b):
     s = a + b
     return s, b - (s - a)
 
 
-@njit(cache=True)
 def _two_prod(a, b):
     p = a * b
     t = _SPLITTER * a
@@ -55,21 +51,18 @@ def _two_prod(a, b):
     return p, ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
 
 
-@njit(cache=True)
 def _dd_add(ah, al, bh, bl):
     sh, sl = _two_sum(ah, bh)
     sl = sl + (al + bl)
     return _quick_two_sum(sh, sl)
 
 
-@njit(cache=True)
 def _dd_mul(ah, al, bh, bl):
     ph, pl = _two_prod(ah, bh)
     pl = pl + (ah * bl + al * bh)
     return _quick_two_sum(ph, pl)
 
 
-@njit(cache=True)
 def _cdd_mul(arh, arl, aih, ail, brh, brl, bih, bil):
     # (ar + i*ai)(br + i*bi): four real double-double products
     t1h, t1l = _dd_mul(arh, arl, brh, brl)
@@ -81,8 +74,7 @@ def _cdd_mul(arh, arl, aih, ail, brh, brl, bih, bil):
     return reh, rel, imh, iml
 
 
-@njit(cache=True)
-def _taylor_shift_dd_jit(cre, cim, zre, zim):
+def taylor_shift_dd(cre, cim, zre, zim):
     """Synthetic-division Taylor shift with double-double coefficients."""
     n = len(cre) - 1
     rh = cre.copy()
@@ -99,8 +91,7 @@ def _taylor_shift_dd_jit(cre, cim, zre, zim):
     return rh, rl, ih, il
 
 
-@njit(cache=True)
-def _mantexp_dd_jit(rh, rl, ih, il):
+def mantexp_dd(rh, rl, ih, il):
     """Normalize each coefficient to |hi| in [1, 2) times 2**e."""
     n = len(rh)
     e = np.zeros(n, dtype=np.int64)
@@ -122,8 +113,7 @@ def _mantexp_dd_jit(rh, rl, ih, il):
     return orh, orl, oih, oil, e
 
 
-@njit(cache=True)
-def _graeffe_step_me_dd_jit(rh, rl, ih, il, e):
+def graeffe_step_me_dd(rh, rl, ih, il, e):
     """One root-squaring step on double-double mantissas with shared exponents.
 
     Returns the new representation plus the worst per-coefficient cancellation
@@ -232,14 +222,8 @@ def _graeffe_step_me_dd_jit(rh, rl, ih, il, e):
     return orh, orl, oih, oil, oe, worst_cancel, anchor_lost
 
 
-# unlike the vector kernels in _kernels, the error-free transformations here
-# are scalar sequences either way; without numba the same code runs in CPython
-taylor_shift_dd = _taylor_shift_dd_jit
-graeffe_step_me_dd = _graeffe_step_me_dd_jit
-mantexp_dd = _mantexp_dd_jit
-
-
 def warmup():
+    """Run every kernel once on tiny inputs (imports and first-call set-up)."""
     c = np.array([-1.0, 0.0, 1.0])
     z = np.zeros(3)
     rh, rl, ih, il = taylor_shift_dd(c, z, 1.0, 0.0)

@@ -1,11 +1,9 @@
-"""Hot numeric kernels: numba-jitted loops with pure-numpy fallbacks.
+"""Hot numeric kernels of the isolation pipeline, written against numpy.
 
-Every kernel exists twice: a ``*_jit`` version compiled with ``@njit`` and a
-``*_np`` version written against the numpy array API.  The module-level names
-(``horner_points``, ``graeffe_step_me``, ...) are bound to one or the other at
-import time.  Set ``ROOTRADII_NO_NUMBA=1`` to force the numpy path; it is also
-selected automatically when numba is not importable.  ``benchmarks/kernel_bench.py``
-times the two paths against each other.
+``horner_points`` and ``horner_pair`` evaluate a polynomial (the sign tests and
+Newton steps of the real path); ``graeffe_step_me`` is one root-squaring step
+of the float radii engine.  Callers look these names up on the module at call
+time, so a wrapper installed on the module (for tracing) sees every call.
 
 Polynomial coefficients are ascending-degree throughout.  The Graeffe kernel
 works on a split (mantissa, exponent) representation, ``c_i = m_i * 2**e_i``
@@ -14,70 +12,24 @@ squarings never overflow or underflow the coefficient vector.
 """
 
 import math
-import os
 
 import numpy as np
-
-_env = os.environ.get("ROOTRADII_NO_NUMBA", "").strip().lower()
-_FORCE_NUMPY = _env in ("1", "true", "yes", "on")
-
-try:
-    if _FORCE_NUMPY:
-        raise ImportError("numba disabled via ROOTRADII_NO_NUMBA")
-    from numba import njit
-
-    NUMBA_ENABLED = True
-except ImportError:
-    NUMBA_ENABLED = False
-
-    def njit(*args, **kwargs):  # no-op decorator stand-in
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(fn):
-            return fn
-
-        return wrap
-
 
 # ---------------------------------------------------------------------------
 # Horner evaluation
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True)
-def _horner_points_jit(coeffs, xs):
-    n = len(coeffs) - 1
-    out = np.empty(len(xs), dtype=coeffs.dtype)
-    for p in range(len(xs)):
-        x = xs[p]
-        acc = coeffs[n]
-        for i in range(n - 1, -1, -1):
-            acc = acc * x + coeffs[i]
-        out[p] = acc
-    return out
-
-
-def _horner_points_np(coeffs, xs):
+def horner_points(coeffs, xs):
+    """Values of the polynomial at every point of ``xs``."""
     acc = np.full(len(xs), coeffs[-1], dtype=np.result_type(coeffs, xs))
     for c in coeffs[-2::-1]:
         acc = acc * xs + c
     return acc
 
 
-@njit(cache=True)
-def _horner_pair_jit(coeffs, x):
-    # value and first derivative in one pass
-    n = len(coeffs) - 1
-    b = coeffs[n]
-    d = b * 0
-    for i in range(n - 1, -1, -1):
-        d = d * x + b
-        b = b * x + coeffs[i]
-    return b, d
-
-
-def _horner_pair_np(coeffs, x):
+def horner_pair(coeffs, x):
+    """Value and first derivative at ``x`` in one pass."""
     b = coeffs[-1]
     d = b * 0
     for c in coeffs[-2::-1]:
@@ -87,104 +39,16 @@ def _horner_pair_np(coeffs, x):
 
 
 # ---------------------------------------------------------------------------
-# Taylor shift  q(x) = p(x + z)  by repeated synthetic division
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _taylor_shift_jit(coeffs, z):
-    a = coeffs.copy()
-    n = len(a) - 1
-    for k in range(n):
-        for j in range(n - 1, k - 1, -1):
-            a[j] = a[j] + z * a[j + 1]
-    return a
-
-
-def _taylor_shift_np(coeffs, z):
-    # Horner over polynomials: q <- q*(x+z) + c_i, two vector ops per step;
-    # overflow to inf is deliberate, the caller checks finiteness
-    q = coeffs[-1:].copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(len(coeffs) - 2, -1, -1):
-            t = np.zeros(len(q) + 1, dtype=q.dtype)
-            t[1:] = q
-            t[:-1] += z * q
-            t[0] += coeffs[i]
-            q = t
-    return q
-
-
-# ---------------------------------------------------------------------------
 # Graeffe root-squaring step on the (mantissa, exponent) representation
 # ---------------------------------------------------------------------------
 
-_SHIFT_CUTOFF = 120  # terms more than this many bits below the max cannot move the sum
 
+def graeffe_step_me(m, e):
+    """One step ``q(x**2) = (-1)**n p(x) p(-x)`` on ``c_i = m_i * 2**e_i``.
 
-@njit(cache=True)
-def _graeffe_step_me_jit(m, e):
-    n = len(m) - 1
-    ne = n // 2 + 1
-    no = (n + 1) // 2
-    out_m = np.zeros(n + 1, dtype=np.complex128)
-    out_e = np.zeros(n + 1, dtype=np.int64)
-    sgn = 1.0 if n % 2 == 0 else -1.0
-    for j in range(n + 1):
-        a0 = j - ne + 1
-        if a0 < 0:
-            a0 = 0
-        a1 = j if j < ne - 1 else ne - 1
-        jj = j - 1
-        b0 = jj - no + 1
-        if b0 < 0:
-            b0 = 0
-        b1 = jj if jj < no - 1 else no - 1
-
-        emax = np.int64(-(2**62))
-        for a in range(a0, a1 + 1):
-            if m[2 * a] != 0 and m[2 * (j - a)] != 0:
-                ee = e[2 * a] + e[2 * (j - a)]
-                if ee > emax:
-                    emax = ee
-        if jj >= 0:
-            for a in range(b0, b1 + 1):
-                if m[2 * a + 1] != 0 and m[2 * (jj - a) + 1] != 0:
-                    ee = e[2 * a + 1] + e[2 * (jj - a) + 1]
-                    if ee > emax:
-                        emax = ee
-        if emax == -(2**62):
-            continue
-
-        acc = 0.0 + 0.0j
-        for a in range(a0, a1 + 1):
-            ma = m[2 * a]
-            mb = m[2 * (j - a)]
-            if ma != 0 and mb != 0:
-                sh = (e[2 * a] + e[2 * (j - a)]) - emax
-                if sh > -_SHIFT_CUTOFF:
-                    t = ma * mb
-                    acc += complex(math.ldexp(t.real, int(sh)), math.ldexp(t.imag, int(sh)))
-        if jj >= 0:
-            for a in range(b0, b1 + 1):
-                ma = m[2 * a + 1]
-                mb = m[2 * (jj - a) + 1]
-                if ma != 0 and mb != 0:
-                    sh = (e[2 * a + 1] + e[2 * (jj - a) + 1]) - emax
-                    if sh > -_SHIFT_CUTOFF:
-                        t = ma * mb
-                        acc -= complex(math.ldexp(t.real, int(sh)), math.ldexp(t.imag, int(sh)))
-        acc *= sgn
-        aa = abs(acc)
-        if aa == 0.0:
-            continue
-        _, f = math.frexp(aa)
-        out_m[j] = complex(math.ldexp(acc.real, -(f - 1)), math.ldexp(acc.imag, -(f - 1)))
-        out_e[j] = emax + f - 1
-    return out_m, out_e
-
-
-def _graeffe_step_me_np(m, e):
+    Each output coefficient sums its even-even and odd-odd products scaled to
+    the largest contributing exponent, then is renormalized to ``|m| in [1, 2)``.
+    """
     n = len(m) - 1
     ev_m, ev_e = m[0::2], e[0::2]
     od_m, od_e = m[1::2], e[1::2]
@@ -226,140 +90,11 @@ def _graeffe_step_me_np(m, e):
     return out_m, out_e
 
 
-# ---------------------------------------------------------------------------
-# Durand-Kerner (Weierstrass) sweeps
-# ---------------------------------------------------------------------------
-#
-# The correction w_i = p(z_i) / prod_{j!=i}(z_i - z_j) is formed in log2
-# magnitude + phase so the ~n-factor product never over- or underflows;
-# p(z_i) uses a Horner recurrence renormalized on the fly for the same reason.
-
-
-@njit(cache=True)
-def _durand_kerner_jit(cm, z0, tol, max_sweeps):
-    n = len(cm) - 1
-    z = z0.copy()
-    sweeps = 0
-    converged = False
-    for _ in range(max_sweeps):
-        sweeps += 1
-        maxcorr = 0.0
-        for i in range(n):
-            zi = z[i]
-            # renormalized Horner: true value is p * 2**pe
-            p = cm[n]
-            pe = 0
-            for k in range(n - 1, -1, -1):
-                p = p * zi
-                if abs(p) > 5.78960446186581e76:  # 2**255
-                    p = complex(math.ldexp(p.real, -512), math.ldexp(p.imag, -512))
-                    pe += 512
-                if pe == 0:
-                    p = p + cm[k]
-                else:
-                    p = p + complex(math.ldexp(cm[k].real, -pe), math.ldexp(cm[k].imag, -pe))
-            # log-space Weierstrass denominator
-            ldm = 0.0
-            darg = 0.0
-            for jdx in range(n):
-                if jdx != i:
-                    d = zi - z[jdx]
-                    ad = abs(d)
-                    if ad == 0.0:
-                        ad = 1e-300
-                    ldm += math.log2(ad)
-                    darg += math.atan2(d.imag, d.real)
-            ap = abs(p)
-            if ap == 0.0:
-                continue
-            lw = math.log2(ap) + pe - ldm
-            if lw > 300.0:
-                lw = 300.0
-            warg = math.atan2(p.imag, p.real) - darg
-            mag = 2.0**lw
-            w = complex(mag * math.cos(warg), mag * math.sin(warg))
-            z[i] = zi - w
-            aw = abs(w)
-            if aw > maxcorr:
-                maxcorr = aw
-        if maxcorr < tol:
-            converged = True
-            break
-    return z, sweeps, converged
-
-
-def _durand_kerner_np(cm, z0, tol, max_sweeps):
-    # fully simultaneous (Jacobi) updates stall in symmetric 2-cycles at a few
-    # hundred roots where the sequential sweep converges; strided blocks of at
-    # most ~16 points recover the sequential behavior while staying vectorized
-    n = len(cm) - 1
-    z = z0.copy()
-    rev = cm[::-1]
-    nblocks = min(n, max(1, -(-n // 16)), 64)
-    sweeps = 0
-    converged = False
-    for _ in range(max_sweeps):
-        sweeps += 1
-        maxcorr = 0.0
-        for b in range(nblocks):
-            idx = np.arange(b, n, nblocks)
-            zi = z[idx]
-            pv = np.full(len(idx), rev[0], dtype=np.complex128)
-            pe = np.zeros(len(idx))
-            for c in rev[1:]:
-                pv = pv * zi
-                big = np.abs(pv) > 2.0**256
-                if big.any():
-                    pv = np.where(big, pv * 2.0**-512, pv)
-                    pe = np.where(big, pe + 512.0, pe)
-                pv = pv + c * np.exp2(-pe)
-            diff = zi[:, None] - z[None, :]
-            diff[np.arange(len(idx)), idx] = 1.0
-            ad = np.abs(diff)
-            ad[ad == 0.0] = 1e-300
-            ldm = np.log2(ad).sum(axis=1)
-            darg = np.angle(diff).sum(axis=1)
-            apv = np.abs(pv)
-            zero = apv == 0.0
-            lw = np.log2(apv + zero) + pe - ldm
-            w = np.exp2(np.minimum(lw, 300.0)) * np.exp(1j * (np.angle(pv) - darg))
-            w[zero] = 0.0
-            z[idx] = zi - w
-            mc = float(np.abs(w).max())
-            if mc > maxcorr:
-                maxcorr = mc
-        if maxcorr < tol:
-            converged = True
-            break
-    return z, sweeps, converged
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-if NUMBA_ENABLED:
-    horner_points = _horner_points_jit
-    horner_pair = _horner_pair_jit
-    taylor_shift_kernel = _taylor_shift_jit
-    graeffe_step_me = _graeffe_step_me_jit
-    durand_kerner_kernel = _durand_kerner_jit
-else:
-    horner_points = _horner_points_np
-    horner_pair = _horner_pair_np
-    taylor_shift_kernel = _taylor_shift_np
-    graeffe_step_me = _graeffe_step_me_np
-    durand_kerner_kernel = _durand_kerner_np
-
-
 def warmup():
-    """Trigger JIT compilation of every kernel on tiny inputs."""
+    """Run every kernel once on tiny inputs (imports and first-call set-up)."""
     c = np.array([-1.0, 0.0, 1.0])
     horner_points(c, np.array([0.5, 2.0]))
     horner_pair(c, 0.5)
-    zc = c.astype(np.complex128)
-    taylor_shift_kernel(zc, 1.0 + 0.0j)
     m = np.array([-1.0 + 0j, 0j, 1.0 + 0j])
     e = np.zeros(3, dtype=np.int64)
     graeffe_step_me(m, e)
-    durand_kerner_kernel(zc, np.array([0.9 + 0.1j, -1.1 + 0.2j]), 1e-12, 50)

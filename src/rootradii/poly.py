@@ -116,7 +116,7 @@ def derivative(p: Polynomial) -> Polynomial:
 
 
 def taylor_shift(p: Polynomial, z) -> Polynomial:
-    """Return ``q`` with ``q(x) = p(x + z)``, by repeated synthetic division.
+    """Return ``q`` with ``q(x) = p(x + z)``, by Horner's rule over polynomials.
 
     On overflow the shift is retried once on the normalized input; persistent
     overflow raises PrecisionLossError.
@@ -124,9 +124,17 @@ def taylor_shift(p: Polynomial, z) -> Polynomial:
     z = complex(z)
     for attempt in (0, 1):
         src = p if attempt == 0 else normalize(p)
-        out = _kernels.taylor_shift_kernel(
-            np.asarray(src.coeffs, dtype=np.complex128), z
-        )
+        c = np.asarray(src.coeffs, dtype=np.complex128)
+        # out <- out*(x + z) + c_i, two vector ops per step; overflow to inf
+        # is deliberate, the finiteness check below catches it
+        out = c[-1:].copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(len(c) - 2, -1, -1):
+                t = np.zeros(len(out) + 1, dtype=out.dtype)
+                t[1:] = out
+                t[:-1] += z * out
+                t[0] += c[i]
+                out = t
         if np.isfinite(out.real).all() and np.isfinite(out.imag).all():
             if src.is_real and z.imag == 0.0:
                 out = out.real

@@ -158,7 +158,7 @@ def _lookup(t, merged):
     raise KeyError(t)
 
 
-def _select(p: Polynomial, candidates, count_evals=True):
+def _select(p: Polynomial, candidates):
     """Sign-test every candidate interval, evaluating each distinct endpoint once.
 
     Returns (selected sign-change intervals, exact-zero degenerate intervals,

@@ -1,12 +1,50 @@
-"""Parity between the numba-compiled kernels and the numpy fallbacks."""
+"""Numeric kernels against exact rational arithmetic.
+
+Every float64 is a dyadic rational, so Python ``Fraction`` arithmetic on the
+kernels' own inputs gives exact references that share no code with the
+kernels.  Rounding-error bounds follow Higham, *Accuracy and Stability of
+Numerical Algorithms*, with unit roundoff ``u = 2**-53`` and
+``gamma_k = k*u / (1 - k*u)``.
+"""
+
+import math
+from fractions import Fraction
 
 import numpy as np
-import pytest
 
 import rootradii as rr
 from rootradii import _dd, _kernels
+from rootradii.oracle import _durand_kerner
 from rootradii.poly import Polynomial
 from rootradii.radii import _to_mantexp
+
+U = Fraction(1, 2**53)
+
+
+def gamma(k):
+    return k * U / (1 - k * U)
+
+
+def cfrac(z):
+    """Exact (real, imaginary) parts of a float or complex as Fractions."""
+    z = complex(z)
+    return Fraction(z.real), Fraction(z.imag)
+
+
+def cmul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def cabs_err(got, exact):
+    """``|got - exact|`` for a computed complex and an exact Fraction pair."""
+    g = cfrac(got)
+    return abs(complex(float(g[0] - exact[0]), float(g[1] - exact[1])))
+
+
+def ilog2(x):
+    """log2 of the magnitude of a nonzero (arbitrarily large) int."""
+    b = abs(x).bit_length() - 1
+    return b + math.log2(abs(x) / 2**b)
 
 
 def me_value_log2(m, e):
@@ -17,56 +55,151 @@ def me_value_log2(m, e):
 
 
 class TestHornerParity:
+    """Horner evaluation within its running error bound (Higham, section 5.1).
+
+    The value has error at most ``gamma_2n * sum |c_i| |x|**i``; the derivative
+    from the same pass at most ``gamma_2n * sum i |c_i| |x|**(i-1)``, since each
+    path from ``c_i`` to the result passes through at most ``2n`` roundings.
+    """
+
     def test_points(self):
         rng = np.random.default_rng(1)
-        c = rng.standard_normal(40)
-        xs = rng.standard_normal(64)
-        a = _kernels._horner_points_jit(c, xs)
-        b = _kernels._horner_points_np(c, xs)
-        assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
+        for n in range(1, 41):
+            c = rng.standard_normal(n + 1)
+            xs = np.concatenate([rng.standard_normal(12), rng.uniform(-1.3, 1.3, 4)])
+            got = _kernels.horner_points(c, xs)
+            cf = [Fraction(ci) for ci in c]
+            for x, v in zip(xs, got):
+                xf = Fraction(x)
+                exact, absum, xp = Fraction(0), Fraction(0), Fraction(1)
+                for ci in cf:
+                    exact += ci * xp
+                    absum += abs(ci) * abs(xp)
+                    xp *= xf
+                assert abs(Fraction(v) - exact) <= gamma(2 * n) * absum, (n, x)
 
     def test_pair(self):
         rng = np.random.default_rng(2)
-        c = rng.standard_normal(12)
-        for x in rng.standard_normal(8):
-            va, da = _kernels._horner_pair_jit(c, x)
-            vb, db = _kernels._horner_pair_np(c, x)
-            assert np.isclose(va, vb, rtol=1e-13)
-            assert np.isclose(da, db, rtol=1e-13)
+        for n in range(1, 41):
+            c = rng.standard_normal(n + 1)
+            cf = [Fraction(ci) for ci in c]
+            for x in rng.standard_normal(4):
+                v, d = _kernels.horner_pair(c, x)
+                xf = Fraction(x)
+                val = sum(ci * xf**i for i, ci in enumerate(cf))
+                der = sum(i * ci * xf ** (i - 1) for i, ci in enumerate(cf) if i)
+                vsum = sum(abs(ci) * abs(xf) ** i for i, ci in enumerate(cf))
+                dsum = sum(i * abs(ci) * abs(xf) ** (i - 1) for i, ci in enumerate(cf) if i)
+                assert abs(Fraction(v) - val) <= gamma(2 * n) * vsum, (n, x)
+                assert abs(Fraction(d) - der) <= gamma(2 * n) * dsum, (n, x)
+
+
+def exact_shift(c, z):
+    """Exact coefficients of ``p(x + z)`` by repeated synthetic division."""
+    a = [cfrac(ci) for ci in c]
+    zf = cfrac(z)
+    n = len(a) - 1
+    for k in range(n):
+        for j in range(n - 1, k - 1, -1):
+            t = cmul(zf, a[j + 1])
+            a[j] = (a[j][0] + t[0], a[j][1] + t[1])
+    return a
 
 
 class TestTaylorShiftParity:
+    """``poly.taylor_shift`` against exact synthetic division.
+
+    Coefficient ``k`` of the shift is ``sum_i c_i C(i, k) z**(i-k)``.  Each of
+    its ``C(i, k)`` paths through the recurrence takes at most one complex
+    multiplication (error at most ``sqrt(2) gamma_2 < gamma_3``, Higham lemma
+    3.5) and two additions per step, so ``gamma_5n`` times the sum of the
+    absolute terms bounds the error.
+    """
+
     def test_random_complex(self):
         rng = np.random.default_rng(3)
-        c = (rng.standard_normal(15) + 1j * rng.standard_normal(15)).astype(np.complex128)
-        z = complex(0.7, -0.3)
-        a = _kernels._taylor_shift_jit(c, z)
-        b = _kernels._taylor_shift_np(c, z)
-        assert np.allclose(a, b, rtol=1e-11, atol=1e-13)
+        cases = [
+            (rng.standard_normal(15) + 1j * rng.standard_normal(15), complex(0.7, -0.3)),
+            (rng.standard_normal(9), complex(-1.25, 0.0)),
+            (rng.standard_normal(24) + 1j * rng.standard_normal(24), complex(0.1, 1.9)),
+        ]
+        for c, z in cases:
+            got = np.asarray(rr.taylor_shift(Polynomial(c), z).coeffs, dtype=np.complex128)
+            exact = exact_shift(c, z)
+            n = len(c) - 1
+            assert len(got) == n + 1
+            for k in range(n + 1):
+                absum = sum(abs(c[i]) * math.comb(i, k) * abs(z) ** (i - k) for i in range(k, n + 1))
+                assert cabs_err(got[k], exact[k]) <= float(gamma(5 * n)) * absum, (n, k)
+
+
+def exact_graeffe(m, e):
+    """Exact coefficients of ``q`` with ``q(x**2) = (-1)**n p(x) p(-x)``, and
+    the sum of the absolute values of the products behind each one."""
+    n = len(m) - 1
+    c = [tuple(part * Fraction(2) ** int(ei) for part in cfrac(mi)) for mi, ei in zip(m, e)]
+    mag = [abs(complex(mi)) * 2.0 ** int(ei) for mi, ei in zip(m, e)]
+    sgn = -1 if n % 2 else 1
+    exact, absum = [], []
+    for j in range(n + 1):
+        re, im, s = Fraction(0), Fraction(0), 0.0
+        for i in range(max(0, 2 * j - n), min(2 * j, n) + 1):
+            k = 2 * j - i
+            t = cmul(c[i], c[k])
+            w = sgn * (-1) ** k
+            re += w * t[0]
+            im += w * t[1]
+            s += mag[i] * mag[k]
+        exact.append((re, im))
+        absum.append(s)
+    return exact, absum
 
 
 class TestGraeffeParity:
+    """The float root-squaring step against exact root squaring.
+
+    Each output coefficient is a sum of at most ``n/2 + 1`` complex products,
+    scaled exactly by powers of two: the product errors (``sqrt(2) gamma_2``)
+    plus the summation error stay below ``(n + 2) u`` times the sum of the
+    products' absolute values.
+    """
+
     def test_mantissa_exponent_step(self):
         rng = np.random.default_rng(4)
-        c = rng.standard_normal(11) + 1j * rng.standard_normal(11)
-        m, e = _to_mantexp(c)
-        ma, ea = _kernels._graeffe_step_me_jit(m, e)
-        mb, eb = _kernels._graeffe_step_me_np(m, e)
-        la, lb = me_value_log2(ma, ea), me_value_log2(mb, eb)
-        assert np.allclose(la, lb, rtol=0, atol=1e-10)
+        for n in (1, 2, 3, 5, 10, 17, 24, 31):
+            c = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+            if n > 3:
+                c[rng.integers(1, n)] = 0.0  # a missing term
+            m, e = _to_mantexp(c)
+            e = e + rng.integers(-40, 41, n + 1)
+            got_m, got_e = _kernels.graeffe_step_me(m, e)
+            exact, absum = exact_graeffe(m, e)
+            for j in range(n + 1):
+                got = got_m[j] * 2.0 ** int(got_e[j])
+                assert got_m[j] == 0 or 1.0 <= abs(got_m[j]) < 2.0
+                assert cabs_err(got, exact[j]) <= (n + 2) * float(U) * absum[j], (n, j)
 
     def test_many_steps_agree(self):
+        # twelve squarings of the worked example against the exact iterates;
+        # every coefficient keeps its log2 magnitude to 1e-8
         c = np.array([4.0, 3.0, -30.0, -23.0, 16.0, 16.0, 16.0, 8.0], dtype=complex)
-        ma, ea = _to_mantexp(c)
-        mb, eb = _to_mantexp(c)
+        m, e = _to_mantexp(c)
+        exact = [int(ci.real) for ci in c]
+        n = len(c) - 1
         for _ in range(12):
-            ma, ea = _kernels._graeffe_step_me_jit(ma, ea)
-            mb, eb = _kernels._graeffe_step_me_np(mb, eb)
-        assert np.allclose(me_value_log2(ma, ea), me_value_log2(mb, eb), atol=1e-8)
+            m, e = _kernels.graeffe_step_me(m, e)
+            exact = [
+                (-1) ** n * sum((-1) ** (2 * j - i) * exact[i] * exact[2 * j - i]
+                                for i in range(max(0, 2 * j - n), min(2 * j, n) + 1))
+                for j in range(n + 1)
+            ]
+        want = np.array([ilog2(x) for x in exact])
+        assert np.allclose(me_value_log2(m, e), want, rtol=0, atol=1e-8)
 
 
 class TestDurandKernerParity:
     def test_converged_root_sets_match(self):
+        # the oracle's sweep against LAPACK companion-matrix eigenvalues
         rng = np.random.default_rng(5)
         for deg in (3, 6, 9):
             c = (rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)).astype(
@@ -75,11 +208,13 @@ class TestDurandKernerParity:
             c = c / c[-1]
             n = deg
             z0 = 1.5 * np.exp(1j * (2 * np.pi * np.arange(n) / n + 0.4))
-            za, _, ca = _kernels._durand_kerner_jit(c, z0, 1e-12, 500)
-            zb, _, cb = _kernels._durand_kerner_np(c, z0, 1e-12, 500)
-            assert ca and cb
-            for z in za:
-                assert min(abs(zb - z)) < 1e-8
+            z, _, converged = _durand_kerner(c, z0, 1e-12, 500)
+            assert converged
+            eig = np.roots(c[::-1])
+            for r in z:
+                assert min(abs(eig - r)) < 1e-8
+            for r in eig:
+                assert min(abs(z - r)) < 1e-8
 
 
 class TestDoubleDouble:
@@ -120,20 +255,3 @@ class TestDoubleDouble:
         la = me_value_log2(rh + 1j * ih, e)
         lb = me_value_log2(m2, e2)
         assert np.allclose(la, lb, atol=1e-7)
-
-
-class TestDispatch:
-    def test_mode_flag_consistent(self):
-        import os
-
-        want_numpy = os.environ.get("ROOTRADII_NO_NUMBA", "").strip().lower() in (
-            "1",
-            "true",
-            "yes",
-            "on",
-        )
-        if want_numpy:
-            assert not _kernels.NUMBA_ENABLED
-            assert _kernels.horner_points is _kernels._horner_points_np
-        elif _kernels.NUMBA_ENABLED:
-            assert _kernels.horner_points is _kernels._horner_points_jit
