@@ -131,74 +131,40 @@ def graeffe_step_me_dd(rh, rl, ih, il, e):
     neg = n % 2 == 1
     worst_cancel = 0.0
     anchor_lost = False
+    nonzero = [rh[i] != 0.0 or ih[i] != 0.0 for i in range(n + 1)]
     for j in range(n + 1):
-        a0 = j - ne + 1
-        if a0 < 0:
-            a0 = 0
-        a1 = j if j < ne - 1 else ne - 1
+        # even-even products add, odd-odd products subtract; pairs with a
+        # zero factor are skipped
         jj = j - 1
-        b0 = jj - no + 1
-        if b0 < 0:
-            b0 = 0
-        b1 = jj if jj < no - 1 else no - 1
-
-        emax = np.int64(-(2**62))
-        for a in range(a0, a1 + 1):
-            ia, ib = 2 * a, 2 * (j - a)
-            if (rh[ia] != 0.0 or ih[ia] != 0.0) and (rh[ib] != 0.0 or ih[ib] != 0.0):
-                ee = e[ia] + e[ib]
-                if ee > emax:
-                    emax = ee
-        if jj >= 0:
-            for a in range(b0, b1 + 1):
-                ia, ib = 2 * a + 1, 2 * (jj - a) + 1
-                if (rh[ia] != 0.0 or ih[ia] != 0.0) and (rh[ib] != 0.0 or ih[ib] != 0.0):
-                    ee = e[ia] + e[ib]
-                    if ee > emax:
-                        emax = ee
-        if emax == -(2**62):
+        ev = range(max(0, j - ne + 1), min(j, ne - 1) + 1)
+        od = range(max(0, jj - no + 1), min(jj, no - 1) + 1)
+        pairs = [(2 * a, 2 * (j - a), 1.0) for a in ev]
+        pairs += [(2 * a + 1, 2 * (jj - a) + 1, -1.0) for a in od]
+        pairs = [(ia, ib, sg) for ia, ib, sg in pairs if nonzero[ia] and nonzero[ib]]
+        if not pairs:
             continue
+        emax = max(e[ia] + e[ib] for ia, ib, _ in pairs)
 
         acc_rh = 0.0
         acc_rl = 0.0
         acc_ih = 0.0
         acc_il = 0.0
         peak = 0.0
-        for a in range(a0, a1 + 1):
-            ia, ib = 2 * a, 2 * (j - a)
-            if (rh[ia] != 0.0 or ih[ia] != 0.0) and (rh[ib] != 0.0 or ih[ib] != 0.0):
-                sh = int((e[ia] + e[ib]) - emax)
-                if sh > -_SHIFT_CUTOFF:
-                    trh, trl, tih, til = _cdd_mul(
-                        rh[ia], rl[ia], ih[ia], il[ia], rh[ib], rl[ib], ih[ib], il[ib]
-                    )
-                    trh = math.ldexp(trh, sh)
-                    trl = math.ldexp(trl, sh)
-                    tih = math.ldexp(tih, sh)
-                    til = math.ldexp(til, sh)
-                    m = math.hypot(trh, tih)
-                    if m > peak:
-                        peak = m
-                    acc_rh, acc_rl = _dd_add(acc_rh, acc_rl, trh, trl)
-                    acc_ih, acc_il = _dd_add(acc_ih, acc_il, tih, til)
-        if jj >= 0:
-            for a in range(b0, b1 + 1):
-                ia, ib = 2 * a + 1, 2 * (jj - a) + 1
-                if (rh[ia] != 0.0 or ih[ia] != 0.0) and (rh[ib] != 0.0 or ih[ib] != 0.0):
-                    sh = int((e[ia] + e[ib]) - emax)
-                    if sh > -_SHIFT_CUTOFF:
-                        trh, trl, tih, til = _cdd_mul(
-                            rh[ia], rl[ia], ih[ia], il[ia], rh[ib], rl[ib], ih[ib], il[ib]
-                        )
-                        trh = math.ldexp(trh, sh)
-                        trl = math.ldexp(trl, sh)
-                        tih = math.ldexp(tih, sh)
-                        til = math.ldexp(til, sh)
-                        m = math.hypot(trh, tih)
-                        if m > peak:
-                            peak = m
-                        acc_rh, acc_rl = _dd_add(acc_rh, acc_rl, -trh, -trl)
-                        acc_ih, acc_il = _dd_add(acc_ih, acc_il, -tih, -til)
+        for ia, ib, sg in pairs:
+            sh = int((e[ia] + e[ib]) - emax)
+            if sh > -_SHIFT_CUTOFF:
+                trh, trl, tih, til = _cdd_mul(
+                    rh[ia], rl[ia], ih[ia], il[ia], rh[ib], rl[ib], ih[ib], il[ib]
+                )
+                trh = math.ldexp(trh, sh)
+                trl = math.ldexp(trl, sh)
+                tih = math.ldexp(tih, sh)
+                til = math.ldexp(til, sh)
+                m = math.hypot(trh, tih)
+                if m > peak:
+                    peak = m
+                acc_rh, acc_rl = _dd_add(acc_rh, acc_rl, sg * trh, sg * trl)
+                acc_ih, acc_il = _dd_add(acc_ih, acc_il, sg * tih, sg * til)
         if neg:
             acc_rh, acc_rl, acc_ih, acc_il = -acc_rh, -acc_rl, -acc_ih, -acc_il
         amag = math.hypot(acc_rh, acc_ih)

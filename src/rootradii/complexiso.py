@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernels
 from .poly import Polynomial, PrecisionLossError, root_radius_upper_bound
 from .radii import choose_iteration_count, distances_from_point
 
@@ -286,13 +287,8 @@ def line_disc_intersection_prob(gamma: float, rho_prime: float, dist: float) -> 
 def _newton_polish(p: Polynomial, z: complex, steps: int = 4) -> complex:
     """A few plain complex Newton steps; a convenience, not a certified contraction."""
     c = np.asarray(p.coeffs, dtype=np.complex128)
-    n = len(c) - 1
     for _ in range(steps):
-        v = c[n]
-        dv = 0.0 + 0.0j
-        for i in range(n - 1, -1, -1):
-            dv = dv * z + v
-            v = v * z + c[i]
+        v, dv = _kernels.horner_pair(c, z)
         if abs(dv) < 1e-300:
             break
         step = v / dv

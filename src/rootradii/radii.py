@@ -6,17 +6,23 @@ within a factor ``2n``.  Squaring the roots ``k`` times before applying it and
 taking ``2**k``-th roots of the results sharpens the factor to
 ``(2n)**(1/2**k)``.
 
-The squaring iterations run on a per-coefficient (mantissa, exponent)
-representation of the polynomial.  After many squarings the coefficient
-magnitudes of the iterated polynomial span far more than the ~2000 bits a
-float64 can express, while the hull only ever needs ``log2`` of each
-coefficient; splitting the exponent out keeps every quantity representable
-with no loss relevant to the estimates (coefficient rounding errors shrink by
-``2**k`` when the roots are extracted).
+One driver, ``_radii``, runs this procedure for every entry point: it strips
+the roots at the center, squares up to ``k`` times under one stop rule and
+reads the hull.  The squarings run on a per-coefficient (mantissa, exponent)
+representation, of which there are two: float64 mantissas for the radii at
+the origin (``newton_polygon_radii``, ``refined_radii``), and double-double
+mantissas of the polynomial shifted to a far center
+(``distances_from_point``).  After many squarings the coefficient magnitudes
+of the iterated polynomial span far more than the ~2000 bits a float64 can
+express, while the hull only ever needs ``log2`` of each coefficient;
+splitting the exponent out keeps every quantity representable with no loss
+relevant to the estimates (coefficient rounding errors shrink by ``2**k``
+when the roots are extracted).
 """
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -45,8 +51,7 @@ class RadiiEstimate:
     squarings_used: int
 
     def __post_init__(self):
-        r = np.asarray(self.radii, dtype=np.float64)
-        r = r.copy()
+        r = np.array(self.radii, dtype=np.float64)
         r.setflags(write=False)
         object.__setattr__(self, "radii", r)
 
@@ -106,36 +111,6 @@ def _hull_radii(m, e, k):
     return np.array(out, dtype=np.float64)
 
 
-def _strip_zero_roots(p: Polynomial):
-    """Count roots at the origin and return the deflated coefficient vector."""
-    c = p.coeffs
-    m = 0
-    while m < len(c) - 1 and c[m] == 0:
-        m += 1
-    return c[m:], m
-
-
-def newton_polygon_radii(p: Polynomial) -> RadiiEstimate:
-    """Estimate all root radii within the factor ``2n`` from the coefficient hull.
-
-    Roots at the origin (vanishing low-order coefficients) are reported as
-    exact zero radii.
-    """
-    if p.coeffs[-1] == 0:
-        raise ValueError("leading coefficient must be nonzero")
-    n = p.degree
-    if n == 0:
-        return RadiiEstimate(np.empty(0), 1.0, 0)
-    c, nzero = _strip_zero_roots(p)
-    if len(c) == 1:
-        return RadiiEstimate(np.zeros(n), float(2 * n), 0)
-    m, e = _to_mantexp(c)
-    radii = _hull_radii(m, e, 0)
-    if nzero:
-        radii = np.concatenate([radii, np.zeros(nzero)])
-    return RadiiEstimate(radii, float(2 * n), 0)
-
-
 def choose_iteration_count(n: int, target_rel_error: float) -> int:
     """Smallest ``k`` with ``(2n)**(1/2**k) <= 1 + target_rel_error``."""
     if n < 1:
@@ -152,23 +127,82 @@ def choose_iteration_count(n: int, target_rel_error: float) -> int:
     return k
 
 
-def _squarings(m, e, k):
-    """Run up to ``k`` Graeffe steps, stopping early on numeric degradation."""
+class _Representation(NamedTuple):
+    """How one representation squares; its state ends with the exponent array."""
+
+    mantexp: Callable  # coefficient arrays -> state
+    step: Callable  # state -> next state, or None when the step is unusable
+    mantissa: Callable  # state -> complex mantissas for the hull
+
+
+def _float_step(m, e):
+    m2, e2 = _kernels.graeffe_step_me(m, e)
+    if np.isfinite(m2).all() and m2[0] != 0 and m2[-1] != 0:
+        return m2, e2
+    return None
+
+
+def _dd_step(rh, rl, ih, il, e):
+    # the kernel zeroes coefficients whose cancellation exceeds the
+    # double-double capacity; losing an anchor (constant or leading
+    # coefficient) means the hull frame itself is gone
+    *nxt, _worst_cancel, anchor_lost = _dd.graeffe_step_me_dd(rh, rl, ih, il, e)
+    if not anchor_lost and np.isfinite(nxt[0]).all():
+        return nxt
+    return None
+
+
+_FLOAT = _Representation(_to_mantexp, _float_step, lambda m, e: m)
+_DOUBLE_DOUBLE = _Representation(
+    lambda *c: _dd.mantexp_dd(*c), _dd_step, lambda rh, rl, ih, il, e: rh + 1j * ih
+)
+
+
+def _radii(p, target_rel_error, coeffs, rep):
+    """The radii procedure behind every entry point.
+
+    ``coeffs()`` returns the ascending coefficient arrays of the polynomial
+    whose root radii are wanted (``p`` itself, or ``p`` shifted to a center);
+    a root at the center is an index where every array is zero.  ``rep`` is
+    the squaring representation.  With ``target_rel_error=None`` nothing is
+    squared and the radii hold within ``2n``.
+    """
+    if p.coeffs[-1] == 0:
+        raise ValueError("leading coefficient must be nonzero")
+    n = p.degree
+    if n == 0:
+        return RadiiEstimate(np.empty(0), 1.0, 0)
+    cs = coeffs()
+    nzero = 0
+    while nzero < n and all(c[nzero] == 0 for c in cs):
+        nzero += 1
+    if nzero == n:
+        # pure power: every radius is exactly zero, nothing to square
+        return RadiiEstimate(np.zeros(n), float(2 * n) if target_rel_error is None else 1.0, 0)
+    k = 0 if target_rel_error is None else choose_iteration_count(n, target_rel_error)
+    state = rep.mantexp(*(c[nzero:] for c in cs))
     done = 0
     for _ in range(k):
-        m2, e2 = _kernels.graeffe_step_me(m, e)
-        bad = (
-            not np.isfinite(m2.real).all()
-            or not np.isfinite(m2.imag).all()
-            or m2[-1] == 0
-            or m2[0] == 0
-            or np.abs(e2).max() > 2**60
-        )
-        if bad:
+        # stop on numeric degradation: the last healthy iterate keeps its
+        # honestly larger factor
+        nxt = rep.step(*state)
+        if nxt is None or np.abs(nxt[-1]).max() > 2**60:
             break
-        m, e = m2, e2
+        state = nxt
         done += 1
-    return m, e, done
+    radii = _hull_radii(rep.mantissa(*state), state[-1], done)
+    if nzero:
+        radii = np.concatenate([radii, np.zeros(nzero)])
+    return RadiiEstimate(radii, float((2 * n) ** (2.0**-done)), done)
+
+
+def newton_polygon_radii(p: Polynomial) -> RadiiEstimate:
+    """Estimate all root radii within the factor ``2n`` from the coefficient hull.
+
+    Roots at the origin (vanishing low-order coefficients) are reported as
+    exact zero radii.
+    """
+    return _radii(p, None, lambda: (p.coeffs,), _FLOAT)
 
 
 def refined_radii(p: Polynomial, target_rel_error: float) -> RadiiEstimate:
@@ -177,22 +211,7 @@ def refined_radii(p: Polynomial, target_rel_error: float) -> RadiiEstimate:
     If precision degrades before the planned squaring count, the estimate from
     the last healthy iteration is returned with its honestly larger factor.
     """
-    if p.coeffs[-1] == 0:
-        raise ValueError("leading coefficient must be nonzero")
-    n = p.degree
-    if n == 0:
-        return RadiiEstimate(np.empty(0), 1.0, 0)
-    c, nzero = _strip_zero_roots(p)
-    if len(c) == 1:
-        # pure power of x: every radius is exactly zero, nothing to square
-        return RadiiEstimate(np.zeros(n), 1.0, 0)
-    k = choose_iteration_count(n, target_rel_error)
-    m, e = _to_mantexp(c)
-    m, e, done = _squarings(m, e, k)
-    radii = _hull_radii(m, e, done)
-    if nzero:
-        radii = np.concatenate([radii, np.zeros(nzero)])
-    return RadiiEstimate(radii, float((2 * n) ** (2.0**-done)), done)
+    return _radii(p, target_rel_error, lambda: (p.coeffs,), _FLOAT)
 
 
 def distances_from_point(p: Polynomial, z, target_rel_error: float) -> RadiiEstimate:
@@ -206,46 +225,15 @@ def distances_from_point(p: Polynomial, z, target_rel_error: float) -> RadiiEsti
     constant term of the shifted polynomial reports the corresponding
     distances as exact zeros.
     """
-    if p.coeffs[-1] == 0:
-        raise ValueError("leading coefficient must be nonzero")
-    n = p.degree
-    if n == 0:
-        return RadiiEstimate(np.empty(0), 1.0, 0)
-    z = complex(z)
-    c = np.asarray(p.coeffs, dtype=np.complex128)
-    rh, rl, ih, il = _dd.taylor_shift_dd(
-        np.ascontiguousarray(c.real), np.ascontiguousarray(c.imag), z.real, z.imag
-    )
-    if not (
-        np.isfinite(rh).all()
-        and np.isfinite(rl).all()
-        and np.isfinite(ih).all()
-        and np.isfinite(il).all()
-    ):
-        raise PrecisionLossError("taylor shift overflowed double-double range")
-    # strip exact roots at the shift center
-    nzero = 0
-    while nzero < n and rh[nzero] == 0.0 and rl[nzero] == 0.0 and ih[nzero] == 0.0 and il[nzero] == 0.0:
-        nzero += 1
-    rh, rl, ih, il = rh[nzero:], rl[nzero:], ih[nzero:], il[nzero:]
-    if len(rh) == 1:
-        return RadiiEstimate(np.zeros(n), 1.0, 0)
-    rh, rl, ih, il, e = _dd.mantexp_dd(rh, rl, ih, il)
-    k = choose_iteration_count(n, target_rel_error)
-    done = 0
-    for _ in range(k):
-        # the kernel zeroes coefficients whose cancellation exceeds the
-        # double-double capacity; losing an anchor (constant or leading
-        # coefficient) means the hull frame itself is gone, so stop there
-        nrh, nrl, nih, nil, ne, _worst_cancel, anchor_lost = _dd.graeffe_step_me_dd(
-            rh, rl, ih, il, e
+
+    def shifted():
+        w = complex(z)
+        c = np.asarray(p.coeffs, dtype=np.complex128)
+        cs = _dd.taylor_shift_dd(
+            np.ascontiguousarray(c.real), np.ascontiguousarray(c.imag), w.real, w.imag
         )
-        if anchor_lost or not np.isfinite(nrh).all() or np.abs(ne).max() > 2**60:
-            break
-        rh, rl, ih, il, e = nrh, nrl, nih, nil, ne
-        done += 1
-    m = rh + 1j * ih
-    radii = _hull_radii(m, e, done)
-    if nzero:
-        radii = np.concatenate([radii, np.zeros(nzero)])
-    return RadiiEstimate(radii, float((2 * n) ** (2.0**-done)), done)
+        if not all(np.isfinite(a).all() for a in cs):
+            raise PrecisionLossError("taylor shift overflowed double-double range")
+        return cs
+
+    return _radii(p, target_rel_error, shifted, _DOUBLE_DOUBLE)

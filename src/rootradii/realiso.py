@@ -48,15 +48,14 @@ class IsolatorConfig:
     """Tuning knobs for the isolation pipeline.
 
     ``precision_bits`` sets the target relative error ``1/2**precision_bits``
-    of refined roots; the first-pass radii tolerance is
-    ``isolation_c / n**isolation_d``; ``work_budget`` caps the total
-    refinement effort, counted in polynomial evaluations (a Newton step costs
-    two, a bisection one).
+    of refined roots; ``isolation_c`` is the first-pass radii tolerance (each
+    retry divides it by ten); ``work_budget`` caps the total refinement
+    effort, counted in polynomial evaluations (a Newton step costs two, a
+    bisection one).
     """
 
     precision_bits: int = 27
     isolation_c: float = 0.001
-    isolation_d: float = 0.0
     max_real_roots: Optional[int] = None
     work_budget: int = 4096
     max_retries: int = 2
@@ -133,29 +132,20 @@ def candidate_intervals(radii: RadiiEstimate):
 
 
 def _distinct_endpoints(intervals):
-    """Sorted endpoint set with near-coincident points (1e-12 relative) merged."""
-    pts = []
-    for iv in intervals:
-        pts.append(iv.lo)
-        pts.append(iv.hi)
-    pts.sort()
+    """Sorted endpoint set with near-coincident points (1e-12 relative) merged.
+
+    Also returns, per interval, the indices of the merged points that its
+    ``lo`` and ``hi`` went into.
+    """
+    pts = [t for iv in intervals for t in (iv.lo, iv.hi)]
     merged = []
-    for t in pts:
-        if merged and abs(t - merged[-1]) <= _ENDPOINT_MERGE_RTOL * max(1.0, abs(t)):
-            continue
-        merged.append(t)
-    return merged
-
-
-def _lookup(t, merged):
-    # endpoints were merged within tolerance; find the representative
-    import bisect
-
-    i = bisect.bisect_left(merged, t)
-    for j in (i - 1, i, i + 1):
-        if 0 <= j < len(merged) and abs(t - merged[j]) <= _ENDPOINT_MERGE_RTOL * max(1.0, abs(t)):
-            return j
-    raise KeyError(t)
+    rep = [0] * len(pts)
+    for k in sorted(range(len(pts)), key=pts.__getitem__):
+        t = pts[k]
+        if not (merged and abs(t - merged[-1]) <= _ENDPOINT_MERGE_RTOL * max(1.0, abs(t))):
+            merged.append(t)
+        rep[k] = len(merged) - 1
+    return merged, list(zip(rep[0::2], rep[1::2]))
 
 
 def _select(p: Polynomial, candidates):
@@ -166,7 +156,7 @@ def _select(p: Polynomial, candidates):
     """
     if not candidates:
         return [], [], [], 0
-    merged = _distinct_endpoints(candidates)
+    merged, ends = _distinct_endpoints(candidates)
     xs = np.array(merged, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         vals = _kernels.horner_points(np.asarray(p.coeffs, dtype=np.float64), xs)
@@ -177,9 +167,7 @@ def _select(p: Polynomial, candidates):
     zeros = []
     suspects = []
     seen_zero = set()
-    for iv in candidates:
-        i_lo = _lookup(iv.lo, merged)
-        i_hi = _lookup(iv.hi, merged)
+    for iv, (i_lo, i_hi) in zip(candidates, ends):
         if not (finite[i_lo] and finite[i_hi]):
             suspects.append(IsolationInterval(iv.lo, iv.hi, "suspect_ill_conditioned"))
             continue
@@ -404,7 +392,7 @@ def isolate_real_roots(p: Polynomial, cfg: IsolatorConfig = None) -> RealIsolati
         return RealIsolationResult((), (), stats)
     max_roots = cfg.max_real_roots if cfg.max_real_roots is not None else n
 
-    target = cfg.isolation_c / float(n) ** cfg.isolation_d
+    target = cfg.isolation_c
     pos_range, neg_range = narrow_root_ranges(p)
 
     roots = []

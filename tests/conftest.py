@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import rootradii as rr
-from rootradii import _dd, _kernels
 
 # 8x^7 + 16x^6 + 16x^5 + 16x^4 - 23x^3 - 30x^2 + 3x + 4, the degree-7 product
 # of the degree-4 Chebyshev polynomial with x^3 + 2x^2 + 3x + 4; five real
@@ -22,12 +21,6 @@ SECT5_RADII_BRACKETS = [
     (0.3826, 0.3828),
 ]
 PRINT_SLACK = 5e-5
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    _kernels.warmup()
-    _dd.warmup()
 
 
 @pytest.fixture(scope="session")

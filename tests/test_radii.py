@@ -147,6 +147,48 @@ class TestRefinedRadii:
         assert np.all(np.abs(est.radii / true - 1.0) <= 1e-3 + 1e-6)
 
 
+# radii 1e100 and 1 (the float sum 1e100 + 1 is 1e100); the reference is
+# LAPACK's companion eigenvalues
+HUGE_SPREAD = [1e100, -(1e100 + 1.0), 1.0]
+# near the 2**60 exponent bound the guarantee factor is within a few ulps of
+# 1; the reported radii and the reference each carry float64 rounding
+ROUNDING_SLACK = 4 * np.finfo(np.float64).eps
+
+
+def assert_stopped_early(est, n, target):
+    assert est.squarings_used < rr.choose_iteration_count(n, target)
+    assert est.rel_factor == (2 * n) ** (2.0**-est.squarings_used)
+
+
+def assert_within_factor(est, true):
+    assert np.all(np.abs(est.radii / true - 1.0) <= est.rel_factor - 1.0 + ROUNDING_SLACK)
+
+
+class TestStopRule:
+    """The exponents passing 2**60 end the squarings before the planned count."""
+
+    def test_refined_radii_stops_early(self):
+        # stops after 51 of the 54 planned squarings
+        assert_stopped_early(rr.refined_radii(Polynomial(HUGE_SPREAD), 1e-300), 2, 1e-300)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="_hull_radii rounds exponent differences above 2**53 to float: "
+        "the radius 1e100 comes out 75 ulps off against a factor of 3 ulps",
+    )
+    def test_refined_radii_within_factor_after_early_stop(self):
+        est = rr.refined_radii(Polynomial(HUGE_SPREAD), 1e-300)
+        true = np.sort(np.abs(np.roots(HUGE_SPREAD[::-1])))[::-1]
+        assert_within_factor(est, true)
+
+    def test_distances_stop_early(self, sect5, sect5_oracle):
+        # the constant term of the shifted polynomial is about 400**7; stops
+        # after 54 of the 55 planned squarings
+        est = rr.distances_from_point(sect5, -400.0, 1e-300)
+        assert_stopped_early(est, 7, 1e-300)
+        assert_within_factor(est, np.sort(np.abs(sect5_oracle.roots + 400.0))[::-1])
+
+
 class TestDistancesFromPoint:
     def test_center_reduces_to_radii(self):
         est = rr.distances_from_point(Polynomial([-1.0, 0.0, 1.0]), 0.0, 1e-3)
