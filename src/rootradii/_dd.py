@@ -1,197 +1,145 @@
-"""Double-double (106-bit significand) kernels for ill-conditioned shifts.
+"""Exact Taylor shift and P-bit integer root squaring for distance queries.
 
-Estimating the distances from a far point to tightly clustered roots requires
+Estimating the distances from a far point to tightly clustered roots needs
 the shifted polynomial's coefficients to more bits than a float64 holds: the
 coefficient-basis condition number of those roots grows like
-``(2*shift)**n / prod(root gaps)``, and a plain double shift already loses the
-distances at unit scale.  These kernels run the Taylor shift and the Graeffe
-squaring steps with error-free-transformation double-double arithmetic (Dekker
-splitting, Knuth two-sum), combined with the same per-coefficient exponent
-field the plain engine uses.
+``(2*shift)**n / prod(root gaps)``, so the precision needed grows linearly in
+the degree.  This module follows Schoenhage's root-radii algorithm and works
+in integers at an explicit precision ``P``:
 
-Cancellation is measured per output coefficient; a coefficient that cancels
-more than ``CANCEL_LIMIT`` bits below its largest contributing term is zeroed
-(dropped from the hull) rather than trusted, and the caller sees the step
-flagged when an anchor coefficient (constant or leading) is lost.
+- ``taylor_shift_dd`` is exact.  Every float64 is a dyadic rational, so the
+  coefficients of ``p(x + z)`` are Gaussian integers times one power of two;
+  nothing rounds and nothing overflows, and a root at the center gives an
+  exact zero coefficient.
+- ``mantexp_dd`` and ``graeffe_step_me_dd`` carry each coefficient as a
+  Gaussian-integer mantissa of ``P + 1`` bits, ``(re + i*im) * 2**e``, with one
+  int exponent per coefficient.  A squaring step sums the pair products of an
+  output coefficient exactly and truncates once, toward minus infinity, to
+  ``P + 1`` bits.
 
-The error-free transformations are scalar sequences run in plain Python.
-Callers look ``taylor_shift_dd``, ``mantexp_dd`` and ``graeffe_step_me_dd`` up
-on the module at call time, so a wrapper installed on the module (for tracing)
+The file and the ``*_dd`` names date from the double-double engine this
+replaces; the stage benchmark wraps ``taylor_shift_dd`` and
+``graeffe_step_me_dd`` by name and its set-up probe calls ``warmup``, so they
+are kept until the benchmark is next changed.  Callers look these names up on
+the module at call time, so a wrapper installed on the module (for tracing)
 sees every call.
 """
 
-import math
-
 import numpy as np
 
-_SPLITTER = 134217729.0  # 2**27 + 1
-CANCEL_LIMIT = 90.0  # bits of cancellation beyond which a coefficient is unreliable
-_SHIFT_CUTOFF = 240  # terms this many bits below the max cannot move a 106-bit sum
+HULL_BITS = 60  # mantissa bits handed to the float hull
 
 
-def _two_sum(a, b):
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
+def _dyadic(x):
+    """``(num, k)`` with ``x == num / 2**k`` exactly."""
+    num, den = float(x).as_integer_ratio()
+    return num, den.bit_length() - 1
 
 
-def _quick_two_sum(a, b):
-    s = a + b
-    return s, b - (s - a)
+def taylor_shift_dd(coeffs, z):
+    """Exact coefficients of ``p(x + z)`` for float64 ``coeffs`` (ascending) and ``z``.
 
-
-def _two_prod(a, b):
-    p = a * b
-    t = _SPLITTER * a
-    ahi = t - (t - a)
-    alo = a - ahi
-    t = _SPLITTER * b
-    bhi = t - (t - b)
-    blo = b - bhi
-    return p, ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
-
-
-def _dd_add(ah, al, bh, bl):
-    sh, sl = _two_sum(ah, bh)
-    sl = sl + (al + bl)
-    return _quick_two_sum(sh, sl)
-
-
-def _dd_mul(ah, al, bh, bl):
-    ph, pl = _two_prod(ah, bh)
-    pl = pl + (ah * bl + al * bh)
-    return _quick_two_sum(ph, pl)
-
-
-def _cdd_mul(arh, arl, aih, ail, brh, brl, bih, bil):
-    # (ar + i*ai)(br + i*bi): four real double-double products
-    t1h, t1l = _dd_mul(arh, arl, brh, brl)
-    t2h, t2l = _dd_mul(aih, ail, bih, bil)
-    reh, rel = _dd_add(t1h, t1l, -t2h, -t2l)
-    t3h, t3l = _dd_mul(arh, arl, bih, bil)
-    t4h, t4l = _dd_mul(aih, ail, brh, brl)
-    imh, iml = _dd_add(t3h, t3l, t4h, t4l)
-    return reh, rel, imh, iml
-
-
-def taylor_shift_dd(cre, cim, zre, zim):
-    """Synthetic-division Taylor shift with double-double coefficients."""
-    n = len(cre) - 1
-    rh = cre.copy()
-    rl = np.zeros(n + 1)
-    ih = cim.copy()
-    il = np.zeros(n + 1)
+    Returns ``(re, im, exp)``: coefficient ``k`` is ``(re[k] + i*im[k]) * 2**exp``
+    with int ``re[k]``, ``im[k]``.  With ``C_i = c_i * 2**d`` and ``Z = z * 2**s``
+    integral, ``2**(d + s*n) * p((y + Z) / 2**s)`` has the integer coefficients
+    ``C_i * 2**(s*(n - i))`` shifted by ``Z``, which synthetic division keeps
+    integral; ``y = 2**s * x`` turns them back into powers of ``x``.
+    """
+    c = np.asarray(coeffs, dtype=np.complex128)
+    n = len(c) - 1
+    parts = [_dyadic(v) for ci in c for v in (ci.real, ci.imag)]
+    d = max(k for _, k in parts)
+    (zr, kr), (zi, ki) = _dyadic(complex(z).real), _dyadic(complex(z).imag)
+    s = max(kr, ki)
+    zr <<= s - kr
+    zi <<= s - ki
+    re = [num << (d - k + s * (n - i)) for i, (num, k) in enumerate(parts[0::2])]
+    im = [num << (d - k + s * (n - i)) for i, (num, k) in enumerate(parts[1::2])]
     for k in range(n):
         for j in range(n - 1, k - 1, -1):
-            prh, prl, pih, pil = _cdd_mul(
-                zre, 0.0, zim, 0.0, rh[j + 1], rl[j + 1], ih[j + 1], il[j + 1]
-            )
-            rh[j], rl[j] = _dd_add(rh[j], rl[j], prh, prl)
-            ih[j], il[j] = _dd_add(ih[j], il[j], pih, pil)
-    return rh, rl, ih, il
+            ar, ai = re[j + 1], im[j + 1]
+            re[j] += zr * ar - zi * ai
+            im[j] += zr * ai + zi * ar
+    re = [r << (s * k) for k, r in enumerate(re)]
+    im = [v << (s * k) for k, v in enumerate(im)]
+    return re, im, -(d + s * n)
 
 
-def mantexp_dd(rh, rl, ih, il):
-    """Normalize each coefficient to |hi| in [1, 2) times 2**e."""
-    n = len(rh)
-    e = np.zeros(n, dtype=np.int64)
-    orh = np.zeros(n)
-    orl = np.zeros(n)
-    oih = np.zeros(n)
-    oil = np.zeros(n)
-    for i in range(n):
-        a = math.hypot(rh[i], ih[i])
-        if a == 0.0:
-            continue
-        _, ex = math.frexp(a)
-        s = -(ex - 1)
-        orh[i] = math.ldexp(rh[i], s)
-        orl[i] = math.ldexp(rl[i], s)
-        oih[i] = math.ldexp(ih[i], s)
-        oil[i] = math.ldexp(il[i], s)
-        e[i] = ex - 1
-    return orh, orl, oih, oil, e
+def _truncate(r, i, e, bits):
+    """``(r + i*im) * 2**e`` with ``max(|r|, |i|)`` brought to ``P + 1 = bits`` bits.
 
-
-def graeffe_step_me_dd(rh, rl, ih, il, e):
-    """One root-squaring step on double-double mantissas with shared exponents.
-
-    Returns the new representation plus the worst per-coefficient cancellation
-    (bits between the largest contributing term and the surviving sum) and a
-    flag telling whether an anchor coefficient (constant or leading) vanished.
+    Widening is exact; narrowing floors each part, an error below one unit.
     """
-    n = len(rh) - 1
-    ne = n // 2 + 1
-    no = (n + 1) // 2
-    orh = np.zeros(n + 1)
-    orl = np.zeros(n + 1)
-    oih = np.zeros(n + 1)
-    oil = np.zeros(n + 1)
-    oe = np.zeros(n + 1, dtype=np.int64)
-    neg = n % 2 == 1
-    worst_cancel = 0.0
-    anchor_lost = False
-    nonzero = [rh[i] != 0.0 or ih[i] != 0.0 for i in range(n + 1)]
-    for j in range(n + 1):
-        # even-even products add, odd-odd products subtract; pairs with a
-        # zero factor are skipped
-        jj = j - 1
-        ev = range(max(0, j - ne + 1), min(j, ne - 1) + 1)
-        od = range(max(0, jj - no + 1), min(jj, no - 1) + 1)
-        pairs = [(2 * a, 2 * (j - a), 1.0) for a in ev]
-        pairs += [(2 * a + 1, 2 * (jj - a) + 1, -1.0) for a in od]
-        pairs = [(ia, ib, sg) for ia, ib, sg in pairs if nonzero[ia] and nonzero[ib]]
-        if not pairs:
-            continue
-        emax = max(e[ia] + e[ib] for ia, ib, _ in pairs)
+    if not (r or i):
+        return 0, 0, 0
+    t = max(abs(r).bit_length(), abs(i).bit_length()) - bits
+    if t > 0:
+        return r >> t, i >> t, e + t
+    return r << -t, i << -t, e + t
 
-        acc_rh = 0.0
-        acc_rl = 0.0
-        acc_ih = 0.0
-        acc_il = 0.0
-        peak = 0.0
-        for ia, ib, sg in pairs:
-            sh = int((e[ia] + e[ib]) - emax)
-            if sh > -_SHIFT_CUTOFF:
-                trh, trl, tih, til = _cdd_mul(
-                    rh[ia], rl[ia], ih[ia], il[ia], rh[ib], rl[ib], ih[ib], il[ib]
-                )
-                trh = math.ldexp(trh, sh)
-                trl = math.ldexp(trl, sh)
-                tih = math.ldexp(tih, sh)
-                til = math.ldexp(til, sh)
-                m = math.hypot(trh, tih)
-                if m > peak:
-                    peak = m
-                acc_rh, acc_rl = _dd_add(acc_rh, acc_rl, sg * trh, sg * trl)
-                acc_ih, acc_il = _dd_add(acc_ih, acc_il, sg * tih, sg * til)
-        if neg:
-            acc_rh, acc_rl, acc_ih, acc_il = -acc_rh, -acc_rl, -acc_ih, -acc_il
-        amag = math.hypot(acc_rh, acc_ih)
-        if peak > 0.0 and amag > 0.0:
-            cancel = math.log2(peak / amag)
-            if cancel > CANCEL_LIMIT:
-                amag = 0.0  # unreliable: below the double-double noise floor
-            elif cancel > worst_cancel:
-                worst_cancel = cancel
-        if amag == 0.0:
-            if j == 0 or j == n:
-                anchor_lost = True
+
+def mantexp_dd(re, im, P):
+    """Gaussian-integer coefficients as ``P + 1``-bit mantissas with int exponents."""
+    out = [_truncate(r, i, 0, P + 1) for r, i in zip(re, im)]
+    return [o[0] for o in out], [o[1] for o in out], [o[2] for o in out]
+
+
+def graeffe_step_me_dd(re, im, e, P):
+    """One step ``q(x**2) = (-1)**n p(x) p(-x)`` on ``P + 1``-bit Gaussian mantissas.
+
+    ``q_j = (-1)**n * ((-1)**j c_j**2 + 2 * sum_{i<j} (-1)**i c_i c_{2j-i})``.
+    The kept pair products are aligned to the smallest kept exponent and
+    summed exactly; products more than ``3P`` bits below the largest are
+    skipped.  The sum is then truncated once to ``P + 1`` bits.
+    """
+    n = len(re) - 1
+    nz = [bool(r or i) for r, i in zip(re, im)]
+    real = not any(im)
+    cut = 3 * P
+    ore, oim, oe = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
+    for j in range(n + 1):
+        pairs = range(max(0, 2 * j - n), j + 1)
+        terms = [(e[i] + e[2 * j - i], i) for i in pairs if nz[i] and nz[2 * j - i]]
+        if not terms:
             continue
-        _, f = math.frexp(amag)
-        s = -(f - 1)
-        orh[j] = math.ldexp(acc_rh, s)
-        orl[j] = math.ldexp(acc_rl, s)
-        oih[j] = math.ldexp(acc_ih, s)
-        oil[j] = math.ldexp(acc_il, s)
-        oe[j] = emax + f - 1
-    return orh, orl, oih, oil, oe, worst_cancel, anchor_lost
+        top = max(terms)[0] - cut
+        terms = [t for t in terms if t[0] >= top]
+        low = min(terms)[0]
+        sr = si = 0
+        for ei, i in terms:
+            k = 2 * j - i
+            sh = ei - low + (i != j)  # off-diagonal pairs count twice
+            if real:
+                tr = (re[i] * re[k]) << sh
+                sr = sr - tr if i & 1 else sr + tr
+                continue
+            # three products instead of four (Gauss)
+            ar, ai, br, bi = re[i], im[i], re[k], im[k]
+            t1, t2, t3 = br * (ar + ai), ar * (bi - br), ai * (br + bi)
+            tr = (t1 - t3) << sh
+            ti = (t1 + t2) << sh
+            if i & 1:
+                sr, si = sr - tr, si - ti
+            else:
+                sr, si = sr + tr, si + ti
+        if n & 1:
+            sr, si = -sr, -si
+        ore[j], oim[j], oe[j] = _truncate(sr, si, low, P + 1)
+    return ore, oim, oe
+
+
+def hull_mantissas(re, im, P):
+    """The top ``HULL_BITS`` bits of each mantissa as complex floats.
+
+    They all drop the same ``P - HULL_BITS`` bits, a uniform power-of-two
+    scale that moves no hull slope; ``float`` of a full mantissa would
+    overflow once ``P + 1`` passes 1024 bits.
+    """
+    t = P - HULL_BITS
+    return np.array([complex(r >> t, i >> t) for r, i in zip(re, im)], dtype=np.complex128)
 
 
 def warmup():
     """Run every kernel once on tiny inputs (imports and first-call set-up)."""
-    c = np.array([-1.0, 0.0, 1.0])
-    z = np.zeros(3)
-    rh, rl, ih, il = taylor_shift_dd(c, z, 1.0, 0.0)
-    rh, rl, ih, il, e = mantexp_dd(rh, rl, ih, il)
-    graeffe_step_me_dd(rh, rl, ih, il, e)
+    re, im, _ = taylor_shift_dd(np.array([-1.0, 0.0, 1.0]), 0.5)
+    graeffe_step_me_dd(*mantexp_dd(re, im, 64), 64)

@@ -8,7 +8,6 @@ count the radii stage actually used on its first pass.
 """
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,23 +87,10 @@ def run_cell(n: int, r: int, family_type: int, seed: int, cfg: IsolatorConfig = 
         )
 
 
-def _run_cell_args(args):
-    return run_cell(*args)
-
-
-def run_bench(sizes, rs, types, seed: int = 0, jobs: int = 1, cfg: IsolatorConfig = None):
-    cells = [
-        (n, r, t, cell_seed(seed, n, r, t), cfg)
-        for n in sizes
-        for r in rs
-        for t in types
+def run_bench(sizes, rs, types, seed: int = 0, cfg: IsolatorConfig = None):
+    return [
+        run_cell(n, r, t, cell_seed(seed, n, r, t), cfg) for n in sizes for r in rs for t in types
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_run_cell_args, cells))
-    else:
-        rows = [run_cell(*c) for c in cells]
-    return rows
 
 
 def rows_to_csv(rows) -> str:

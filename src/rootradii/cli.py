@@ -145,7 +145,7 @@ def cmd_bench(args):
     if not sizes or not rs or not types or not all(t in (1, 2, 3) for t in types):
         print("error: empty or invalid grid", file=sys.stderr)
         return EXIT_INPUT
-    rows = bench_mod.run_bench(sizes, rs, types, seed=args.seed, jobs=args.jobs)
+    rows = bench_mod.run_bench(sizes, rs, types, seed=args.seed)
     if args.format == "csv":
         sys.stdout.write(bench_mod.rows_to_csv(rows))
     elif args.format == "json":
@@ -207,7 +207,6 @@ def build_parser():
     b.add_argument("--rs", default="4,8,12")
     b.add_argument("--types", default="1,2,3")
     b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--jobs", type=int, default=1)
     b.add_argument("--format", choices=("text", "csv", "json"), default="text")
     b.set_defaults(func=cmd_bench)
 

@@ -27,12 +27,16 @@ class RootSet:
 
 
 def all_roots_oracle(p: Polynomial, tol: float = 1e-12, max_sweeps: int = 500) -> RootSet:
-    """Durand-Kerner simultaneous iteration from perturbed-circle starting points.
+    """Durand-Kerner simultaneous iteration started from LAPACK's roots.
 
-    Runs in double precision until the largest per-sweep correction drops
-    below ``tol`` or ``max_sweeps`` sweeps have passed; non-convergence is
-    flagged rather than raised.  Roots at the origin are deflated exactly and
-    appended back.
+    The starting points are the companion-matrix eigenvalues (``np.roots``)
+    of the rescaled monic polynomial, or a perturbed circle when LAPACK fails
+    or returns non-finite values.  Runs in double precision until the largest
+    per-sweep correction drops below ``tol`` or ``max_sweeps`` sweeps have
+    passed.  ``converged`` also requires a backward-stable result:
+    ``|p(z)| <= 4n u sum_i |c_i| |z|**i`` at every root, with ``u = 2**-53``.
+    Non-convergence is flagged rather than raised.  Roots at the origin are
+    deflated exactly and appended back.
     """
     if p.degree < 1:
         raise ValueError("need degree >= 1")
@@ -55,18 +59,46 @@ def all_roots_oracle(p: Polynomial, tol: float = 1e-12, max_sweeps: int = 500) -
         cs = np.where(np.abs(c) > 0, c / np.where(np.abs(c) > 0, np.abs(c), 1.0), 0.0)
         cs = cs * np.exp2(d)
         cs = cs / cs[n]
-        centroid = -cs[n - 1] / n
-        ang = 2.0 * np.pi * np.arange(n) / n + 0.4
-        radius = 1.0 + 0.05 * np.arange(n) / n
-        z0 = centroid + radius * np.exp(1j * ang)
-        z, sweeps, converged = _durand_kerner(cs, z0, tol, max_sweeps)
+        z, sweeps, converged = _durand_kerner(cs, _starting_points(cs), tol, max_sweeps)
         roots = z * s
+        converged = converged and _backward_stable(c, roots)
     if nzero:
         roots = np.concatenate([roots, np.zeros(nzero, dtype=np.complex128)])
     with np.errstate(over="ignore", invalid="ignore"):
         vals = _kernels.horner_points(np.asarray(p.coeffs, dtype=np.complex128), roots)
         residuals = np.abs(vals)
     return RootSet(roots=roots, residuals=residuals, converged=bool(converged), sweeps=int(sweeps))
+
+
+def _starting_points(cs):
+    """LAPACK's roots of monic ``cs``, else a perturbed circle around the centroid."""
+    n = len(cs) - 1
+    try:
+        z0 = np.roots(cs[::-1]).astype(np.complex128)
+        if len(z0) == n and np.isfinite(z0).all():
+            return z0
+    except np.linalg.LinAlgError:
+        pass
+    ang = 2.0 * np.pi * np.arange(n) / n + 0.4
+    radius = 1.0 + 0.05 * np.arange(n) / n
+    return -cs[n - 1] / n + radius * np.exp(1j * ang)
+
+
+def _backward_stable(c, z):
+    """``|p(z)| <= 4n u sum_i |c_i| |z|**i`` at every point of ``z``.
+
+    Outside the unit disc the same ratio is taken on the reversed polynomial
+    at ``1/z``, so that neither side overflows.
+    """
+    n = len(c) - 1
+    out = np.abs(z) > 1.0
+    ok = True
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        for cc, x in ((c, z[~out]), (c[::-1], 1.0 / z[out])):
+            val = np.abs(_kernels.horner_points(cc, x))
+            bound = _kernels.horner_points(np.abs(cc), np.abs(x))
+            ok = ok and bool(np.all(val <= 4 * n * 2.0**-53 * bound))
+    return ok
 
 
 def _durand_kerner(cm, z0, tol, max_sweeps):

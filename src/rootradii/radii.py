@@ -9,15 +9,17 @@ taking ``2**k``-th roots of the results sharpens the factor to
 One driver, ``_radii``, runs this procedure for every entry point: it strips
 the roots at the center, squares up to ``k`` times under one stop rule and
 reads the hull.  The squarings run on a per-coefficient (mantissa, exponent)
-representation, of which there are two: float64 mantissas for the radii at
-the origin (``newton_polygon_radii``, ``refined_radii``), and double-double
-mantissas of the polynomial shifted to a far center
-(``distances_from_point``).  After many squarings the coefficient magnitudes
-of the iterated polynomial span far more than the ~2000 bits a float64 can
-express, while the hull only ever needs ``log2`` of each coefficient;
-splitting the exponent out keeps every quantity representable with no loss
-relevant to the estimates (coefficient rounding errors shrink by ``2**k``
-when the roots are extracted).
+representation, of which there are two.  The radii at the origin
+(``newton_polygon_radii``, ``refined_radii``) use float64 mantissas.  The
+distances from a far center (``distances_from_point``) use the exact Taylor
+shift and ``P + 1``-bit Gaussian-integer mantissas of ``_dd``, at a precision
+``P`` that starts at ``max(64, 16n)`` and doubles until two precisions agree.
+After many squarings the coefficient magnitudes of the iterated polynomial
+span far more than the ~2000 bits a float64 can express, while the hull only
+ever needs ``log2`` of each coefficient; splitting the exponent out keeps
+every quantity representable with no loss relevant to the estimates
+(coefficient rounding errors shrink by ``2**k`` when the roots are
+extracted).
 """
 
 import math
@@ -142,20 +144,29 @@ def _float_step(m, e):
     return None
 
 
-def _dd_step(rh, rl, ih, il, e):
-    # the kernel zeroes coefficients whose cancellation exceeds the
-    # double-double capacity; losing an anchor (constant or leading
-    # coefficient) means the hull frame itself is gone
-    *nxt, _worst_cancel, anchor_lost = _dd.graeffe_step_me_dd(rh, rl, ih, il, e)
-    if not anchor_lost and np.isfinite(nxt[0]).all():
-        return nxt
-    return None
-
-
 _FLOAT = _Representation(_to_mantexp, _float_step, lambda m, e: m)
-_DOUBLE_DOUBLE = _Representation(
-    lambda *c: _dd.mantexp_dd(*c), _dd_step, lambda rh, rl, ih, il, e: rh + 1j * ih
-)
+
+# distance queries start at max(64, 16n) bits and give up past this many
+_MAX_BITS = 2**13
+_U = 2.0**-53
+
+
+def _int_representation(P):
+    # anchors are single products of nonzero mantissas, so no step is unusable
+    return _Representation(
+        lambda re, im: _dd.mantexp_dd(re, im, P),
+        lambda re, im, e: _dd.graeffe_step_me_dd(re, im, e, P),
+        lambda re, im, e: _dd.hull_mantissas(re, im, P),
+    )
+
+
+def _agree(a, b):
+    """Every radius of ``a`` within ``b``'s factor (plus 4 ulps) of ``b``'s; zeros equal."""
+    zero = b.radii == 0
+    tol = b.rel_factor - 1.0 + 4 * _U
+    return np.array_equal(a.radii == 0, zero) and bool(
+        np.all(np.abs(a.radii[~zero] / b.radii[~zero] - 1.0) <= tol)
+    )
 
 
 def _radii(p, target_rel_error, coeffs, rep):
@@ -217,23 +228,27 @@ def refined_radii(p: Polynomial, target_rel_error: float) -> RadiiEstimate:
 def distances_from_point(p: Polynomial, z, target_rel_error: float) -> RadiiEstimate:
     """Distances from ``z`` to all roots of ``p``, non-increasing.
 
-    Mathematically these are the root radii of ``p(x + z)``.  The shift and
-    the squaring steps run with double-double significands: for a far shift
-    center the distances cluster within a relative band of about ``1/|z|``,
-    and a plain float64 coefficient vector cannot hold them (the coefficient
-    basis conditions the roots like ``(2|z|)**n / prod(gaps)``).  A vanishing
-    constant term of the shifted polynomial reports the corresponding
-    distances as exact zeros.
+    Mathematically these are the root radii of ``p(x + z)``.  For a far center
+    the distances cluster within a relative band of about ``1/|z|``, and the
+    coefficient basis conditions them like ``(2|z|)**n / prod(gaps)``, far
+    beyond float64.  So the shift is exact and the squarings run on
+    ``P + 1``-bit integer mantissas: ``P`` starts at ``max(64, 16n)`` and
+    doubles until two successive precisions give radii that agree within the
+    factor, and the higher-precision estimate is returned.  Past
+    ``2**13`` bits it raises ``PrecisionLossError``, as it does for a
+    non-finite ``z`` (a center that overflowed).  A vanishing constant term
+    of the shifted polynomial reports the corresponding distances as exact
+    zeros.
     """
-
-    def shifted():
-        w = complex(z)
-        c = np.asarray(p.coeffs, dtype=np.complex128)
-        cs = _dd.taylor_shift_dd(
-            np.ascontiguousarray(c.real), np.ascontiguousarray(c.imag), w.real, w.imag
-        )
-        if not all(np.isfinite(a).all() for a in cs):
-            raise PrecisionLossError("taylor shift overflowed double-double range")
-        return cs
-
-    return _radii(p, target_rel_error, shifted, _DOUBLE_DOUBLE)
+    if not np.isfinite(complex(z)):
+        raise PrecisionLossError(f"shift center {z} is not finite")
+    # the shift is exact, so every precision squares the same polynomial; its
+    # power-of-two factor moves no radius
+    re, im, _ = _dd.taylor_shift_dd(p.coeffs, z)
+    P, est = max(64, 16 * p.degree), None
+    while P <= _MAX_BITS:
+        nxt = _radii(p, target_rel_error, lambda: (re, im), _int_representation(P))
+        if est is not None and _agree(est, nxt):
+            return nxt
+        P, est = 2 * P, nxt
+    raise PrecisionLossError(f"distances did not settle within {_MAX_BITS} bits")

@@ -148,14 +148,6 @@ class TestBenchCommand:
     def test_bad_grid_exit_2(self, capsys):
         assert main(["bench", "--sizes", "", "--rs", "4", "--types", "1"]) == 2
 
-    def test_jobs_matches_serial(self, capsys):
-        base = ["bench", "--sizes", "64", "--rs", "4", "--types", "1,3", "--seed", "1", "--format", "csv"]
-        assert main(base) == 0
-        serial = capsys.readouterr().out
-        assert main(base + ["--jobs", "2"]) == 0
-        parallel = capsys.readouterr().out
-        assert serial == parallel
-
 
 class TestUsageErrors:
     def test_unknown_command_exit_2(self, capsys):

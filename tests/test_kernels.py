@@ -136,9 +136,14 @@ class TestTaylorShiftParity:
 def exact_graeffe(m, e):
     """Exact coefficients of ``q`` with ``q(x**2) = (-1)**n p(x) p(-x)``, and
     the sum of the absolute values of the products behind each one."""
-    n = len(m) - 1
     c = [tuple(part * Fraction(2) ** int(ei) for part in cfrac(mi)) for mi, ei in zip(m, e)]
-    mag = [abs(complex(mi)) * 2.0 ** int(ei) for mi, ei in zip(m, e)]
+    return exact_graeffe_fractions(c)
+
+
+def exact_graeffe_fractions(c):
+    """``exact_graeffe`` for coefficients given as exact (real, imaginary) pairs."""
+    n = len(c) - 1
+    mag = [math.hypot(float(a), float(b)) for a, b in c]
     sgn = -1 if n % 2 else 1
     exact, absum = [], []
     for j in range(n + 1):
@@ -217,41 +222,93 @@ class TestDurandKernerParity:
                 assert min(abs(z - r)) < 1e-8
 
 
-class TestDoubleDouble:
-    def test_shift_matches_plain_on_benign_input(self):
+def dyadic(m, e):
+    return Fraction(m) * Fraction(2) ** int(e)
+
+
+def ilog2_complex(re, im):
+    """log2 |re + i*im| for (arbitrarily large) ints."""
+    b = max(abs(re).bit_length(), abs(im).bit_length()) - 1
+    return b + 0.5 * math.log2((re / 2**b) ** 2 + (im / 2**b) ** 2)
+
+
+class TestExactShift:
+    """``_dd.taylor_shift_dd`` against ``Fraction`` synthetic division, exactly."""
+
+    def assert_exact(self, c, z):
+        re, im, ex = _dd.taylor_shift_dd(c, z)
+        exact = exact_shift(c, z)
+        assert len(re) == len(im) == len(exact)
+        for k, (xr, xi) in enumerate(exact):
+            assert (dyadic(re[k], ex), dyadic(im[k], ex)) == (xr, xi), k
+
+    def test_real_far_center(self):
         rng = np.random.default_rng(6)
-        c = rng.standard_normal(9)
-        z = complex(1.25, -0.5)
-        rh, rl, ih, il = _dd.taylor_shift_dd(c, np.zeros(9), z.real, z.imag)
-        plain = rr.taylor_shift(Polynomial(c), z)
-        got = (rh + rl) + 1j * (ih + il)
-        assert np.allclose(got, np.asarray(plain.coeffs, complex), rtol=1e-12)
+        self.assert_exact(rng.standard_normal(13), -300.0)
 
-    def test_shift_beats_plain_on_far_center(self):
-        # p(x + z) for |z| far beyond the roots: compare both paths' constant
-        # terms against a factored evaluation of p(z), which has no cancellation
+    def test_complex_center(self):
         rng = np.random.default_rng(7)
-        roots = rng.uniform(-1, 1, 6) + 1j * rng.uniform(-1, 1, 6)
-        c = np.array([1.0 + 0j])
-        for r in roots:
-            c = np.convolve(c, [-r, 1.0])
-        z = complex(-300.0, 0.0)
-        exact = np.prod(z - roots)
-        rh, rl, ih, il = _dd.taylor_shift_dd(
-            np.ascontiguousarray(c.real), np.ascontiguousarray(c.imag), z.real, z.imag
-        )
-        got = complex(rh[0] + rl[0], ih[0] + il[0])
-        assert abs(got - exact) <= 1e-20 * abs(exact) * 1e6  # ~1e-14 relative
+        c = rng.standard_normal(10) + 1j * rng.standard_normal(10)
+        self.assert_exact(c, complex(1.25, -0.3))
+        self.assert_exact(rng.standard_normal(6), complex(-3.1e-3, 271.5))
 
-    def test_graeffe_dd_matches_plain_log_magnitudes(self):
-        c = np.array([4.0, 3.0, -30.0, -23.0, 16.0, 16.0, 16.0, 8.0])
-        rh, rl, ih, il = c.copy(), np.zeros(8), np.zeros(8), np.zeros(8)
-        rh, rl, ih, il, e = _dd.mantexp_dd(rh, rl, ih, il)
-        m2, e2 = _to_mantexp(c.astype(complex))
-        for _ in range(6):
-            rh, rl, ih, il, e, cancel, lost = _dd.graeffe_step_me_dd(rh, rl, ih, il, e)
-            assert not lost
-            m2, e2 = _kernels.graeffe_step_me(m2, e2)
-        la = me_value_log2(rh + 1j * ih, e)
-        lb = me_value_log2(m2, e2)
-        assert np.allclose(la, lb, atol=1e-7)
+    def test_coefficients_spanning_1e300(self):
+        c = np.array([1e-300, -3.5e-150, 2.0, 0.0, 7.25e150 + 1e-30j, -1e300])
+        self.assert_exact(c, -300.0)
+        self.assert_exact(c, complex(0.1, -0.7))
+
+    def test_root_at_center_is_exact_zero(self):
+        # (x - 0.375)(x + 2.5) and (x - i)(x + i)
+        re, im, _ = _dd.taylor_shift_dd(np.array([-0.9375, 2.125, 1.0]), 0.375)
+        assert (re[0], im[0]) == (0, 0) and re[1] != 0
+        re, im, _ = _dd.taylor_shift_dd(np.array([1.0, 0.0, 1.0]), 1j)
+        assert (re[0], im[0]) == (0, 0) and im[1] != 0
+
+
+class TestIntegerGraeffe:
+    """``_dd.graeffe_step_me_dd`` on ``P + 1``-bit Gaussian mantissas.
+
+    The kept products are summed exactly and truncated once, so each output
+    is within one unit of the ``P + 1``-bit mantissa of the exact coefficient.
+    """
+
+    def test_one_step_within_one_unit(self):
+        rng = np.random.default_rng(8)
+        for n in range(1, 32):
+            P = max(64, 16 * n)
+            re = [int(v) for v in rng.integers(-(2**62), 2**62, n + 1)]
+            im = [int(v) for v in rng.integers(-(2**62), 2**62, n + 1)]
+            if n > 3:
+                re[n // 2] = im[n // 2] = 0  # a missing term
+            re, im, e = _dd.mantexp_dd(re, im, P)
+            spread = rng.integers(-200, 201, n + 1)
+            e = [ei + int(d) if r or i else 0 for ei, r, i, d in zip(e, re, im, spread)]
+            got = _dd.graeffe_step_me_dd(re, im, e, P)
+            c = [(dyadic(r, ei), dyadic(i, ei)) for r, i, ei in zip(re, im, e)]
+            exact, _ = exact_graeffe_fractions(c)
+            for j, (xr, xi) in enumerate(exact):
+                gr, gi, ge = got[0][j], got[1][j], got[2][j]
+                if xr == xi == 0:
+                    assert gr == gi == 0, (n, j)
+                    continue
+                assert max(abs(gr), abs(gi)).bit_length() == P + 1, (n, j)
+                unit = Fraction(2) ** ge
+                assert abs(dyadic(gr, ge) - xr) <= unit and abs(dyadic(gi, ge) - xi) <= unit, (n, j)
+                # and the unit is the one of the exact value's P+1-bit mantissa
+                assert max(abs(xr), abs(xi)) / unit >= 2**P - 1, (n, j)
+
+    def test_many_steps_agree(self):
+        # twelve squarings of the worked example against the exact iterates
+        exact = [4, 3, -30, -23, 16, 16, 16, 8]
+        n = len(exact) - 1
+        P = 16 * n
+        re, im, e = _dd.mantexp_dd(exact, [0] * (n + 1), P)
+        for _ in range(12):
+            re, im, e = _dd.graeffe_step_me_dd(re, im, e, P)
+            exact = [
+                (-1) ** n * sum((-1) ** i * exact[i] * exact[2 * j - i]
+                                for i in range(max(0, 2 * j - n), min(2 * j, n) + 1))
+                for j in range(n + 1)
+            ]
+        got = np.array([ilog2_complex(r, i) + ei for r, i, ei in zip(re, im, e)])
+        assert np.allclose(got, [ilog2(x) for x in exact], rtol=0, atol=1e-8)

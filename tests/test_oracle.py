@@ -53,6 +53,25 @@ class TestAllRootsOracle:
         assert rs.converged
         assert sorted(np.round(np.abs(rs.roots), 9)) == [0.0, 0.0, 1.0]
 
+    def test_huge_spread_not_converged(self):
+        # the float polynomial x**2 - 1e100 x + 1e100 has roots 1e100 - 1 and
+        # about 1; the oracle's small root fails the backward-error check
+        rs = rr.all_roots_oracle(Polynomial([1e100, -(1e100 + 1.0), 1.0]))
+        assert not rs.converged
+
+    @pytest.mark.parametrize("lapack", ["raises", "non-finite"])
+    def test_circle_start_when_lapack_fails(self, monkeypatch, sect5, sect5_oracle, lapack):
+        def roots(c):
+            if lapack == "raises":
+                raise np.linalg.LinAlgError("eigenvalues did not converge")
+            return np.full(len(c) - 1, np.nan)
+
+        monkeypatch.setattr(np, "roots", roots)
+        rs = rr.all_roots_oracle(sect5)
+        assert rs.converged and rs.sweeps > 1
+        for z in sect5_oracle.roots:
+            assert min(abs(rs.roots - z)) < 1e-10
+
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
             rr.all_roots_oracle(Polynomial([5.0]))

@@ -1,10 +1,11 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
 import rootradii as rr
-from rootradii.poly import Polynomial
+from rootradii.poly import Polynomial, PrecisionLossError, root_radius_upper_bound
 
 from conftest import (
     PRINT_SLACK,
@@ -225,10 +226,53 @@ class TestDistancesFromPoint:
             b = rr.refined_radii(rr.taylor_shift(p, z), 1e-4)
             assert np.allclose(a.radii, b.radii, rtol=3e-4)
 
+    @pytest.mark.parametrize("z", [math.inf, complex(0.0, -math.inf), math.nan])
+    def test_non_finite_center_raises(self, z):
+        with pytest.raises(PrecisionLossError):
+            rr.distances_from_point(Polynomial([-1.0, 0.0, 1.0]), z, 1e-3)
+
     def test_far_shift_keeps_precision(self, sect5, sect5_oracle):
-        # the whole reason for the double-double path: distances from a point
-        # 400 away cluster within a 1% band and would drown in float64
+        # the reason for the exact shift and integer squaring: distances from
+        # a point 400 away cluster within a 1% band and would drown in float64
         z = complex(-400.0, 0.0)
         est = rr.distances_from_point(sect5, z, 2e-6)
         true = np.sort(np.abs(sect5_oracle.roots - z))[::-1]
         assert np.all(np.abs(est.radii / true - 1.0) <= 2e-6)
+
+
+class TestDistancesAgainstMpmath:
+    """Distances from the complex path's far centers, checked in 60 digits.
+
+    Dense Gaussian polynomials, shifted to ``-100 * r1+`` along three
+    directions at the target ``shifted_families`` uses with ``rho = 1e-3``:
+    the distances cluster within about 1%, so their coefficient basis needs
+    far more than float64 precision from degree 12 on.
+    """
+
+    def assert_within_factor(self, c, eta, directions):
+        mpmath = pytest.importorskip("mpmath")
+        p = Polynomial(c)
+        with mpmath.workdps(60):
+            coeffs = [mpmath.mpc(complex(x)) for x in c[::-1]]
+            roots = mpmath.polyroots(coeffs, maxsteps=400, extraprec=200)
+        r1p = root_radius_upper_bound(p)
+        target = 1e-3 / ((r1p + 1.0) * eta)
+        for direction in directions:
+            z = -eta * r1p * direction
+            est = rr.distances_from_point(p, z, target)
+            with mpmath.workdps(60):
+                true = sorted((abs(r - mpmath.mpc(z)) for r in roots), reverse=True)
+                err = max(abs(mpmath.mpf(float(r)) / t - 1) for r, t in zip(est.radii, true))
+            assert float(err) <= est.rel_factor - 1.0, (len(c) - 1, z)
+
+    @pytest.mark.parametrize("n", [4, 7, 10, 12, 15, 20, 30])
+    def test_gaussian_within_factor(self, n):
+        rng = np.random.default_rng(n)
+        real = rng.standard_normal(n + 1)
+        for c in (real, real + 1j * rng.standard_normal(n + 1)):
+            self.assert_within_factor(c, 100.0, (1.0, 1j, cmath.exp(0.25j * math.pi)))
+
+    def test_farther_center_needs_more_bits(self):
+        # at eta = 1e5 the first precision, 16n bits, is off by about 1e4
+        # times the claimed factor; only the doubling rule gets within it
+        self.assert_within_factor(np.random.default_rng(8).standard_normal(9), 1e5, (1.0,))
