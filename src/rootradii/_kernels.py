@@ -2,16 +2,15 @@
 
 ``horner_points`` and ``horner_pair`` evaluate a polynomial (the sign tests and
 Newton steps of the real path); ``graeffe_step_me`` is one root-squaring step
-of the float radii engine.  Callers look these names up on the module at call
-time, so a wrapper installed on the module (for tracing) sees every call.
+of the float radii engine, and ``mantexp`` splits coefficients into its
+representation.  Callers look these names up on the module at call time, so a
+wrapper installed on the module (for tracing) sees every call.
 
 Polynomial coefficients are ascending-degree throughout.  The Graeffe kernel
 works on a split (mantissa, exponent) representation, ``c_i = m_i * 2**e_i``
 with ``|m_i| in [1, 2)`` or ``m_i == 0``, so that thousands of effective
 squarings never overflow or underflow the coefficient vector.
 """
-
-import math
 
 import numpy as np
 
@@ -43,18 +42,34 @@ def horner_pair(coeffs, x):
 # ---------------------------------------------------------------------------
 
 
+def mantexp(c, e=0):
+    """Split ``c_i * 2**e_i = m_i * 2**f_i`` with ``|m_i| in [1, 2)``; returns ``(m, f)``.
+
+    Zeros get ``m_i = f_i = 0``.  The scaling is by powers of two, so exact.
+    """
+    c = np.asarray(c, dtype=np.complex128)
+    nz = c != 0
+    _, ex = np.frexp(np.abs(c))
+    shift = np.where(nz, 1 - ex, 0)
+    m = np.empty_like(c)
+    m.real = np.ldexp(c.real, shift)
+    m.imag = np.ldexp(c.imag, shift)
+    return m, np.where(nz, e + ex - 1, 0).astype(np.int64)
+
+
 def graeffe_step_me(m, e):
     """One step ``q(x**2) = (-1)**n p(x) p(-x)`` on ``c_i = m_i * 2**e_i``.
 
     Each output coefficient sums its even-even and odd-odd products scaled to
-    the largest contributing exponent, then is renormalized to ``|m| in [1, 2)``.
+    the largest contributing exponent; the sums are then renormalized together
+    to ``|m| in [1, 2)``.
     """
     n = len(m) - 1
     ev_m, ev_e = m[0::2], e[0::2]
     od_m, od_e = m[1::2], e[1::2]
     ne, no = len(ev_m), len(od_m)
-    out_m = np.zeros(n + 1, dtype=np.complex128)
-    out_e = np.zeros(n + 1, dtype=np.int64)
+    acc = np.zeros(n + 1, dtype=np.complex128)
+    top = np.zeros(n + 1, dtype=np.int64)
     sgn = 1.0 if n % 2 == 0 else -1.0
     for j in range(n + 1):
         tm = []
@@ -79,15 +94,9 @@ def graeffe_step_me(m, e):
         if not mask.any():
             continue
         tmv, tev = tmv[mask], tev[mask]
-        emax = tev.max()
-        acc = sgn * (tmv * np.exp2((tev - emax).astype(np.float64))).sum()
-        aa = abs(acc)
-        if aa == 0.0:
-            continue
-        _, f = math.frexp(aa)
-        out_m[j] = acc * math.ldexp(1.0, -(f - 1))
-        out_e[j] = emax + f - 1
-    return out_m, out_e
+        top[j] = tev.max()
+        acc[j] = sgn * (tmv * np.exp2((tev - top[j]).astype(np.float64))).sum()
+    return mantexp(acc, top)
 
 
 def warmup():

@@ -7,16 +7,18 @@ distance to the nearest oracle root; the iteration column is the root-squaring
 count the radii stage actually used on its first pass.
 """
 
+import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .oracle import all_roots_oracle, generate_family
 from .poly import Polynomial
-from .realiso import IsolatorConfig, isolate_real_roots
+from .realiso import isolate_real_roots
 
-__all__ = ["BenchRow", "run_cell", "run_bench", "rows_to_csv", "rows_to_text"]
+__all__ = ["BenchRow", "run_cell", "run_bench", "rows_to_csv", "rows_to_json", "rows_to_text"]
 
 
 @dataclass(frozen=True)
@@ -26,42 +28,35 @@ class BenchRow:
     family_type: int
     squaring_iters: int
     max_error: float
-    n_roots_found: int = 0
     oracle_converged: bool = True
     failed: str = ""
-
-
-def _real_part_polynomial(p: Polynomial) -> Polynomial:
-    """Real-coefficient polynomial whose real-axis zeros include those of ``p``."""
-    return Polynomial(np.real(p.coeffs))
 
 
 def cell_seed(base_seed: int, n: int, r: int, family_type: int) -> int:
     return (base_seed * 1_000_003 + n * 1_009 + r * 101 + family_type) % (2**63)
 
 
-def run_cell(n: int, r: int, family_type: int, seed: int, cfg: IsolatorConfig = None) -> BenchRow:
-    cfg = cfg or IsolatorConfig()
+def run_cell(n: int, r: int, family_type: int, seed: int) -> BenchRow:
     try:
         p = generate_family(family_type, n, r, seed)
         if p.is_real:
-            result = isolate_real_roots(p, cfg)
+            result = isolate_real_roots(p)
             found = [rt.value for rt in result.roots]
         else:
-            # complex coefficients: roots on the real axis are zeros of the
-            # real-part polynomial; candidates that are not zeros of p itself
-            # are discarded by a residual check against |p|
-            g = _real_part_polynomial(p)
-            result = isolate_real_roots(g, cfg)
+            # complex coefficients: a real root of p is a root of the real
+            # part at which the imaginary part vanishes too, so a root x of
+            # the real part is kept only when the imaginary part changes sign
+            # across x, over the root's width or at least 2**-26 relative.
+            # Only signs are multiplied: the values overflow at n = 1024
+            result = isolate_real_roots(Polynomial(np.real(p.coeffs)))
             found = []
-            with np.errstate(over="ignore", invalid="ignore"):
-                for rt in result.roots:
-                    pv = abs(np.polyval(p.coeffs[::-1], rt.value))
-                    # backward-error scale at the point; for |v| > 1 the raw
-                    # residual grows with |v|**n and a fixed cutoff would be wrong
-                    scale = float(np.polyval(np.abs(p.coeffs)[::-1], abs(rt.value)))
-                    if not math.isfinite(scale) or pv <= 1e-6 * scale:
-                        found.append(rt.value)
+            for rt in result.roots:
+                h = max(rt.width, 2.0**-26 * max(1.0, abs(rt.value)))
+                xs = np.array([rt.value - h, rt.value + h])
+                with np.errstate(over="ignore", invalid="ignore"):
+                    s = np.sign(_kernels.horner_points(np.imag(p.coeffs), xs))
+                if s[0] * s[1] <= 0:
+                    found.append(rt.value)
         rs = all_roots_oracle(p)
         if found:
             err = max(float(np.abs(rs.roots - v).min()) for v in found)
@@ -73,7 +68,6 @@ def run_cell(n: int, r: int, family_type: int, seed: int, cfg: IsolatorConfig = 
             family_type=family_type,
             squaring_iters=result.stats.get("squarings", 0),
             max_error=err,
-            n_roots_found=len(found),
             oracle_converged=rs.converged,
         )
     except Exception as exc:  # record per-cell failure, keep the run going
@@ -87,10 +81,8 @@ def run_cell(n: int, r: int, family_type: int, seed: int, cfg: IsolatorConfig = 
         )
 
 
-def run_bench(sizes, rs, types, seed: int = 0, cfg: IsolatorConfig = None):
-    return [
-        run_cell(n, r, t, cell_seed(seed, n, r, t), cfg) for n in sizes for r in rs for t in types
-    ]
+def run_bench(sizes, rs, types, seed: int = 0):
+    return [run_cell(n, r, t, cell_seed(seed, n, r, t)) for n in sizes for r in rs for t in types]
 
 
 def rows_to_csv(rows) -> str:
@@ -100,6 +92,23 @@ def rows_to_csv(rows) -> str:
             f"{row.n},{row.r},{row.family_type},{row.squaring_iters},{row.max_error:.6e}"
         )
     return "\n".join(lines) + "\n"
+
+
+def rows_to_json(rows) -> str:
+    return json.dumps(
+        [
+            {
+                "n": row.n,
+                "r": row.r,
+                "type": row.family_type,
+                "iter": row.squaring_iters,
+                "error": row.max_error,
+                "oracle_converged": row.oracle_converged,
+                "failed": row.failed,
+            }
+            for row in rows
+        ]
+    ) + "\n"
 
 
 def rows_to_text(rows) -> str:

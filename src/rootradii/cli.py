@@ -13,7 +13,7 @@ import sys
 from . import bench as bench_mod
 from .complexiso import isolate_complex_roots
 from .oracle import generate_family
-from .poly import PrecisionLossError, read_coefficients, write_coefficients
+from .poly import format_coefficients, read_coefficients, write_coefficients
 from .radii import refined_radii
 from .realiso import IsolatorConfig, isolate_real_roots
 
@@ -22,35 +22,18 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
 
-def _read_poly(path):
-    try:
-        return read_coefficients(path)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_INPUT)
-
-
 def cmd_gen(args):
     p = generate_family(args.type, args.n, args.r, args.seed)
     if args.out:
         write_coefficients(args.out, p)
     else:
-        for c in p.dense():
-            c = complex(c)
-            if c.imag == 0.0:
-                print(f"{c.real:.17e}")
-            else:
-                print(f"{c.real:.17e} {c.imag:.17e}")
+        sys.stdout.write(format_coefficients(p))
     return EXIT_OK
 
 
 def cmd_radii(args):
-    p = _read_poly(args.input)
-    try:
-        est = refined_radii(p, args.target_rel_error)
-    except PrecisionLossError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    p = read_coefficients(args.input)
+    est = refined_radii(p, args.target_rel_error)
     print(
         json.dumps(
             {
@@ -64,20 +47,13 @@ def cmd_radii(args):
 
 
 def cmd_isolate_real(args):
-    p = _read_poly(args.input)
-    if not p.is_real:
-        print("error: isolate-real needs real coefficients", file=sys.stderr)
-        return EXIT_INPUT
+    p = read_coefficients(args.input)
     cfg = IsolatorConfig(
         precision_bits=args.bits,
         work_budget=args.budget,
         max_retries=args.retries,
     )
-    try:
-        result = isolate_real_roots(p, cfg)
-    except PrecisionLossError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    result = isolate_real_roots(p, cfg)
     print(
         json.dumps(
             {
@@ -86,11 +62,7 @@ def cmd_isolate_real(args):
                     for rt in result.roots
                 ],
                 "suspects": [{"lo": s.lo, "hi": s.hi} for s in result.suspects],
-                "stats": {
-                    "squarings": result.stats["squarings"],
-                    "sign_evals": result.stats["sign_evals"],
-                    "newton_steps": result.stats["newton_steps"],
-                },
+                "stats": {k: result.stats[k] for k in ("squarings", "sign_evals", "newton_steps")},
             }
         )
     )
@@ -98,12 +70,8 @@ def cmd_isolate_real(args):
 
 
 def cmd_isolate_complex(args):
-    p = _read_poly(args.input)
-    try:
-        result = isolate_complex_roots(p, args.rho, args.eps, args.seed, eta=args.eta)
-    except PrecisionLossError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    p = read_coefficients(args.input)
+    result = isolate_complex_roots(p, args.rho, args.eps, args.seed, eta=args.eta)
     print(
         json.dumps(
             {
@@ -138,6 +106,13 @@ def _int_list(text):
     return [int(t) for t in text.split(",") if t.strip()]
 
 
+_BENCH_FORMATS = {
+    "text": bench_mod.rows_to_text,
+    "csv": bench_mod.rows_to_csv,
+    "json": bench_mod.rows_to_json,
+}
+
+
 def cmd_bench(args):
     sizes = _int_list(args.sizes)
     rs = _int_list(args.rs)
@@ -146,27 +121,7 @@ def cmd_bench(args):
         print("error: empty or invalid grid", file=sys.stderr)
         return EXIT_INPUT
     rows = bench_mod.run_bench(sizes, rs, types, seed=args.seed)
-    if args.format == "csv":
-        sys.stdout.write(bench_mod.rows_to_csv(rows))
-    elif args.format == "json":
-        print(
-            json.dumps(
-                [
-                    {
-                        "n": row.n,
-                        "r": row.r,
-                        "type": row.family_type,
-                        "iter": row.squaring_iters,
-                        "error": row.max_error,
-                        "oracle_converged": row.oracle_converged,
-                        "failed": row.failed,
-                    }
-                    for row in rows
-                ]
-            )
-        )
-    else:
-        sys.stdout.write(bench_mod.rows_to_text(rows))
+    sys.stdout.write(_BENCH_FORMATS[args.format](rows))
     return EXIT_OK
 
 
@@ -207,7 +162,7 @@ def build_parser():
     b.add_argument("--rs", default="4,8,12")
     b.add_argument("--types", default="1,2,3")
     b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--format", choices=("text", "csv", "json"), default="text")
+    b.add_argument("--format", choices=tuple(_BENCH_FORMATS), default="text")
     b.set_defaults(func=cmd_bench)
 
     return ap
@@ -222,14 +177,9 @@ def main(argv=None):
         return EXIT_INPUT if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except SystemExit as exc:
-        return exc.code
-    except ValueError as exc:
+    except (OSError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (PrecisionLossError, OverflowError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return EXIT_NUMERIC if isinstance(exc, ArithmeticError) else EXIT_INPUT
 
 
 if __name__ == "__main__":

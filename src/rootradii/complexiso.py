@@ -77,7 +77,6 @@ class GridNode:
     center: complex
     half_width: float
     multiplicity: int
-    confirmed: bool = False
 
     @property
     def disc_radius(self):
@@ -155,8 +154,7 @@ def shifted_families(p: Polynomial, rho: float, eta: float = 100.0, phi: float =
         if est.squarings_used < planned and est.rel_factor - 1.0 > target:
             raise PrecisionLossError(
                 f"squaring lost precision; achievable tolerance {est.rel_factor - 1.0:.3e}"
-                f" vs requested {target:.3e}",
-                iteration=est.squarings_used,
+                f" vs requested {target:.3e}"
             )
         annuli = _merge_chains(est.radii, est.rel_factor, z)
         fams.append(AnnulusFamily(shift_center=z, annuli=tuple(annuli)))
@@ -224,13 +222,14 @@ def grid_from_two_families(f1: AnnulusFamily, f2: AnnulusFamily, r1_plus: float)
     return nodes
 
 
-def disambiguate_with_third(nodes, f3: AnnulusFamily, eps: float = float("nan")):
+def disambiguate_with_third(nodes, f3: AnnulusFamily, eps: float):
     """Stage 4: confirm every node that is the unique hit of some third-family annulus.
 
     An annulus "hits" a node when the node center's distance from the third
     shift center lies in [inner - hw*sqrt2, outer + hw*sqrt2].  Annuli hitting
     two or more nodes stay unresolved; nodes confirmed by nobody are ghosts
-    and are dropped.  Returns (inclusions, unresolved_nodes).
+    and are dropped.  Returns (inclusions, unresolved_nodes); each inclusion
+    carries ``eps`` as its failure-probability bound.
     """
     confirmed = [False] * len(nodes)
     touched = [False] * len(nodes)
@@ -259,7 +258,7 @@ def disambiguate_with_third(nodes, f3: AnnulusFamily, eps: float = float("nan"))
                 )
             )
         elif touched[i]:
-            unresolved.append(GridNode(node.center, node.half_width, node.multiplicity, False))
+            unresolved.append(node)
     return inclusions, unresolved
 
 

@@ -28,20 +28,13 @@ __all__ = [
     "root_radius_upper_bound",
     "read_coefficients",
     "write_coefficients",
+    "format_coefficients",
     "parse_coefficients",
 ]
 
 
 class PrecisionLossError(ArithmeticError):
-    """Floating-point range or cancellation made a result meaningless.
-
-    ``iteration`` carries the Graeffe step index at which precision was lost,
-    when applicable.
-    """
-
-    def __init__(self, message, iteration=None):
-        super().__init__(message)
-        self.iteration = iteration
+    """Floating-point range or cancellation made a result meaningless."""
 
 
 @dataclass(frozen=True)
@@ -180,7 +173,7 @@ def graeffe_step(p: Polynomial) -> Polynomial:
     if n % 2:
         out = -out
     if not np.isfinite(out).all():
-        raise PrecisionLossError("root-squaring overflowed double precision", iteration=1)
+        raise PrecisionLossError("root-squaring overflowed double precision")
     q = Polynomial(out, 2.0 * p.scale_log2)
     return normalize(q)
 
@@ -257,16 +250,22 @@ def read_coefficients(path) -> Polynomial:
         return parse_coefficients(fh.read())
 
 
-def write_coefficients(path, p: Polynomial) -> None:
+def format_coefficients(p: Polynomial) -> str:
+    """The text form of ``p``: one line per coefficient of ``p.dense()``."""
     dense = p.dense()
     if not np.isfinite(dense).all():
-        raise OverflowError(
-            "scale_log2 too large to materialize in the text format"
-        )
+        raise OverflowError("scale_log2 too large to materialize in the text format")
+    lines = []
+    for c in dense:
+        c = complex(c)
+        if c.imag == 0.0:
+            lines.append(f"{c.real:.17e}\n")
+        else:
+            lines.append(f"{c.real:.17e} {c.imag:.17e}\n")
+    return "".join(lines)
+
+
+def write_coefficients(path, p: Polynomial) -> None:
+    text = format_coefficients(p)
     with open(path, "w", encoding="utf-8") as fh:
-        for c in dense:
-            c = complex(c)
-            if c.imag == 0.0:
-                fh.write(f"{c.real:.17e}\n")
-            else:
-                fh.write(f"{c.real:.17e} {c.imag:.17e}\n")
+        fh.write(text)

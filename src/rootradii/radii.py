@@ -58,28 +58,16 @@ class RadiiEstimate:
         object.__setattr__(self, "radii", r)
 
 
-def _to_mantexp(coeffs):
-    """Split ``c_i = m_i * 2**e_i`` with ``|m_i| in [1, 2)`` (``m_i = 0`` for zeros)."""
-    c = np.asarray(coeffs, dtype=np.complex128)
-    m = np.zeros(len(c), dtype=np.complex128)
-    e = np.zeros(len(c), dtype=np.int64)
-    for i, ci in enumerate(c):
-        a = abs(ci)
-        if a != 0.0:
-            _, ex = math.frexp(a)
-            m[i] = ci * math.ldexp(1.0, -(ex - 1))
-            e[i] = ex - 1
-    return m, e
-
-
 def _hull_radii(m, e, k):
     """Radii estimates from the upper hull of ``(i, log2|c_i|)`` after ``k`` squarings.
 
     Ordinate differences are formed as ``float(int64 exponent difference) +
     (mantissa log difference)`` so that a uniform exponent shift (a power-of-
     two rescaling of the polynomial) changes nothing bitwise, no matter how
-    large the exponents have grown.  Zero coefficients are simply absent from
-    the hull.  Requires nonzero constant and leading coefficients.
+    large the exponents have grown; the stop rule of ``_radii`` keeps every
+    exponent within ``2**52``, so the difference converts to float exactly.
+    Zero coefficients are simply absent from the hull.  Requires nonzero
+    constant and leading coefficients.
     """
     xs = []
     es = []
@@ -144,7 +132,7 @@ def _float_step(m, e):
     return None
 
 
-_FLOAT = _Representation(_to_mantexp, _float_step, lambda m, e: m)
+_FLOAT = _Representation(_kernels.mantexp, _float_step, lambda m, e: m)
 
 # distance queries start at max(64, 16n) bits and give up past this many
 _MAX_BITS = 2**13
@@ -194,10 +182,11 @@ def _radii(p, target_rel_error, coeffs, rep):
     state = rep.mantexp(*(c[nzero:] for c in cs))
     done = 0
     for _ in range(k):
-        # stop on numeric degradation: the last healthy iterate keeps its
-        # honestly larger factor
+        # stop on numeric degradation, or before an exponent difference can
+        # pass 2**53 and round in the hull: the last healthy iterate keeps
+        # its honestly larger factor
         nxt = rep.step(*state)
-        if nxt is None or np.abs(nxt[-1]).max() > 2**60:
+        if nxt is None or np.abs(nxt[-1]).max() > 2**52:
             break
         state = nxt
         done += 1

@@ -41,6 +41,8 @@ __all__ = [
 
 _ENDPOINT_MERGE_RTOL = 1e-12
 _DERIV_FLOOR = 1e-300
+# radii tolerance of the first pass; each retry divides it by ten
+_FIRST_PASS_TARGET = 0.001
 
 
 @dataclass(frozen=True)
@@ -48,14 +50,14 @@ class IsolatorConfig:
     """Tuning knobs for the isolation pipeline.
 
     ``precision_bits`` sets the target relative error ``1/2**precision_bits``
-    of refined roots; ``isolation_c`` is the first-pass radii tolerance (each
-    retry divides it by ten); ``work_budget`` caps the total refinement
-    effort, counted in polynomial evaluations (a Newton step costs two, a
-    bisection one).
+    of refined roots; ``max_real_roots`` caps the refined roots returned;
+    ``work_budget`` caps the total refinement effort, counted in polynomial
+    evaluations (a Newton step costs two, a bisection one); ``max_retries``
+    caps the retries, each of which re-runs the radii at a ten-fold smaller
+    tolerance where suspects remain.
     """
 
     precision_bits: int = 27
-    isolation_c: float = 0.001
     max_real_roots: Optional[int] = None
     work_budget: int = 4096
     max_retries: int = 2
@@ -63,8 +65,6 @@ class IsolatorConfig:
     def __post_init__(self):
         if self.precision_bits < 1:
             raise ValueError("precision_bits must be >= 1")
-        if not self.isolation_c > 0:
-            raise ValueError("isolation_c must be positive")
         if self.work_budget <= 0:
             raise ValueError("work_budget must be positive")
         if self.max_real_roots is not None and self.max_real_roots < 1:
@@ -80,10 +80,6 @@ class IsolationInterval:
     def __post_init__(self):
         if not self.lo <= self.hi:
             raise ValueError("interval endpoints out of order")
-
-    @property
-    def midpoint(self):
-        return 0.5 * (self.lo + self.hi)
 
 
 @dataclass(frozen=True)
@@ -335,26 +331,19 @@ def narrow_root_ranges(p: Polynomial):
 
 
 def _clip_to_ranges(candidates, pos_range, neg_range):
+    """Clip each candidate to the root range of its sign; candidates never straddle 0."""
     out = []
     for iv in candidates:
         if iv.lo == iv.hi == 0.0:
             out.append(iv)
-        elif iv.lo >= 0.0:
-            if pos_range is None:
-                continue
-            lo = max(iv.lo, pos_range[0])
-            hi = min(iv.hi, pos_range[1])
-            if lo <= hi:
-                out.append(IsolationInterval(lo, hi, iv.status))
-        elif iv.hi <= 0.0:
-            if neg_range is None:
-                continue
-            lo = max(iv.lo, neg_range[0])
-            hi = min(iv.hi, neg_range[1])
-            if lo <= hi:
-                out.append(IsolationInterval(lo, hi, iv.status))
-        else:
-            out.append(iv)
+            continue
+        rng = pos_range if iv.lo >= 0.0 else neg_range
+        if rng is None:
+            continue
+        lo = max(iv.lo, rng[0])
+        hi = min(iv.hi, rng[1])
+        if lo <= hi:
+            out.append(IsolationInterval(lo, hi, iv.status))
     return out
 
 
@@ -392,7 +381,7 @@ def isolate_real_roots(p: Polynomial, cfg: IsolatorConfig = None) -> RealIsolati
         return RealIsolationResult((), (), stats)
     max_roots = cfg.max_real_roots if cfg.max_real_roots is not None else n
 
-    target = cfg.isolation_c
+    target = _FIRST_PASS_TARGET
     pos_range, neg_range = narrow_root_ranges(p)
 
     roots = []

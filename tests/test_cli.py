@@ -39,6 +39,21 @@ class TestGen:
         out = capsys.readouterr().out
         assert any(len(l.split()) == 2 for l in out.splitlines() if l.strip())
 
+    @pytest.mark.parametrize("family", ["1", "2"])
+    def test_gen_stdout_equals_out_file(self, tmp_path, capsys, family):
+        args = ["gen", "--type", family, "--n", "9", "--r", "3", "--seed", "4"]
+        assert main(args) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "fam.txt"
+        assert main(args + ["--out", str(out)]) == 0
+        assert out.read_bytes() == printed.encode()
+
+    def test_gen_out_to_missing_directory_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "fam.txt"
+        assert main(["gen", "--type", "1", "--n", "8", "--r", "2", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
 
 class TestRadiiCommand:
     def test_sect5_brackets(self, sect5_file, capsys):
@@ -108,6 +123,13 @@ class TestIsolateComplexCommand:
         assert main(["isolate-complex", sect5_file, "--rho", "1e-4", "--seed", "3"]) == 0
         got = json.loads(capsys.readouterr().out)
         assert len(got["inclusions"]) == 7
+
+    def test_precision_loss_exit_3(self, tmp_path, capsys):
+        # degree 513 needs more than the 2**13-bit cap of the distance queries
+        path = tmp_path / "x513m1.txt"
+        path.write_text("-1\n" + "0\n" * 512 + "1\n")
+        assert main(["isolate-complex", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_eta_knob(self, tmp_path, capsys):
         path = tmp_path / "x4m1.txt"

@@ -16,7 +16,6 @@ import rootradii as rr
 from rootradii import _dd, _kernels
 from rootradii.oracle import _durand_kerner
 from rootradii.poly import Polynomial
-from rootradii.radii import _to_mantexp
 
 U = Fraction(1, 2**53)
 
@@ -175,7 +174,7 @@ class TestGraeffeParity:
             c = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
             if n > 3:
                 c[rng.integers(1, n)] = 0.0  # a missing term
-            m, e = _to_mantexp(c)
+            m, e = _kernels.mantexp(c)
             e = e + rng.integers(-40, 41, n + 1)
             got_m, got_e = _kernels.graeffe_step_me(m, e)
             exact, absum = exact_graeffe(m, e)
@@ -188,7 +187,7 @@ class TestGraeffeParity:
         # twelve squarings of the worked example against the exact iterates;
         # every coefficient keeps its log2 magnitude to 1e-8
         c = np.array([4.0, 3.0, -30.0, -23.0, 16.0, 16.0, 16.0, 8.0], dtype=complex)
-        m, e = _to_mantexp(c)
+        m, e = _kernels.mantexp(c)
         exact = [int(ci.real) for ci in c]
         n = len(c) - 1
         for _ in range(12):

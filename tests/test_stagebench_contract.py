@@ -4,8 +4,11 @@
 and ``stagebench/run.py`` times a set-up probe that calls ``warmup``.  A
 renamed or bypassed layer would not fail the benchmark: its span would just
 read zero.  These tests run the benchmark's own code and check that it sees
-the complex path's layers.
+the complex path's layers.  The harness's self-tests also build result
+records by position, so they run here too.
 """
+
+import os
 
 import ast
 import subprocess
@@ -51,3 +54,16 @@ def test_setup_probe_runs():
         check=True,
     )
     assert float(out.stdout.strip().splitlines()[-1]) > 0
+
+
+def test_stagebench_selftest_passes():
+    path = [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    out = subprocess.run(
+        [sys.executable, str(STAGEBENCH / "selftest.py")],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        cwd=STAGEBENCH.parent,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+    )
+    assert out.returncode == 0, out.stderr[-2000:]
