@@ -192,6 +192,7 @@ def select_sign_change_intervals(p: Polynomial, candidates):
     return selected + zeros + suspects
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _refine(p: Polynomial, iv: IsolationInterval, cfg: IsolatorConfig, budget: int):
     """Bracketed Newton refinement of one sign-change interval.
 
@@ -234,7 +235,7 @@ def _refine(p: Polynomial, iv: IsolationInterval, cfg: IsolatorConfig, budget: i
                 lo = y
             else:
                 hi = y
-            if abs(df) < _DERIV_FLOOR:
+            if not _DERIV_FLOOR <= abs(df) < math.inf:  # tiny, overflowed or nan
                 need_bisect = True
                 break
             y_next = y - f / df

@@ -8,13 +8,14 @@ Numerical Algorithms*, with unit roundoff ``u = 2**-53`` and
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 
 import rootradii as rr
 from rootradii import _dd, _kernels
-from rootradii.oracle import _durand_kerner
+from rootradii.oracle import _durand_kerner, chebyshev1
 from rootradii.poly import Polynomial
 
 U = Fraction(1, 2**53)
@@ -132,11 +133,44 @@ class TestTaylorShiftParity:
                 assert cabs_err(got[k], exact[k]) <= float(gamma(5 * n)) * absum, (n, k)
 
 
-def exact_graeffe(m, e):
-    """Exact coefficients of ``q`` with ``q(x**2) = (-1)**n p(x) p(-x)``, and
-    the sum of the absolute values of the products behind each one."""
-    c = [tuple(part * Fraction(2) ** int(ei) for part in cfrac(mi)) for mi, ei in zip(m, e)]
-    return exact_graeffe_fractions(c)
+def exact_step(m, e):
+    """Exact root squaring of ``c_i = m_i * 2**e_i``, column by column.
+
+    Returns per output ``j`` either None (no nonzero product) or
+    ``(S, re, im, absum)``: ``S`` is the largest exponent sum ``e_i + e_k`` of
+    a nonzero product, ``re + i*im`` the exact coefficient times ``2**-S`` as
+    Fractions, and ``absum`` the sum of the products' absolute values times
+    ``2**-S`` in floats.  Products are summed in Python ints, so exponent
+    spreads far past the float range stay exact.
+    """
+    n = len(m) - 1
+    parts = []  # m_i = (a + i*b) * 2**-s exactly
+    for mi in m:
+        (a, da), (b, db) = float(mi.real).as_integer_ratio(), float(mi.imag).as_integer_ratio()
+        d = max(da, db)
+        parts.append((a * (d // da), b * (d // db), d.bit_length() - 1))
+    sgn = -1 if n % 2 else 1
+    out = []
+    for j in range(n + 1):
+        pairs = [(i, 2 * j - i) for i in range(max(0, 2 * j - n), min(2 * j, n) + 1)
+                 if m[i] != 0 and m[2 * j - i] != 0]
+        if not pairs:
+            out.append(None)
+            continue
+        S = max(int(e[i]) + int(e[k]) for i, k in pairs)
+        sh = {(i, k): int(e[i]) + int(e[k]) - parts[i][2] - parts[k][2] for i, k in pairs}
+        base = min(sh.values())
+        re = im = 0
+        absum = 0.0
+        for i, k in pairs:
+            (a, b, _), (c, d, _) = parts[i], parts[k]
+            w = sgn * (-1) ** i
+            re += w * (a * c - b * d) << (sh[i, k] - base)
+            im += w * (a * d + b * c) << (sh[i, k] - base)
+            absum += math.ldexp(abs(m[i]) * abs(m[k]), int(e[i]) + int(e[k]) - S)
+        scale = Fraction(2) ** (base - S)
+        out.append((S, re * scale, im * scale, absum))
+    return out
 
 
 def exact_graeffe_fractions(c):
@@ -162,26 +196,100 @@ def exact_graeffe_fractions(c):
 class TestGraeffeParity:
     """The float root-squaring step against exact root squaring.
 
-    Each output coefficient is a sum of at most ``n/2 + 1`` complex products,
+    Each output coefficient is a sum of at most ``n + 1`` complex products,
     scaled exactly by powers of two: the product errors (``sqrt(2) gamma_2``)
     plus the summation error stay below ``(n + 2) u`` times the sum of the
-    products' absolute values.
+    products' absolute values.  Products scaled below ``2**-1022`` of the
+    largest one are dropped, which stays far inside that bound.
     """
+
+    def assert_step(self, m, e):
+        n = len(m) - 1
+        got_m, got_e = _kernels.graeffe_step_me(m, e)
+        for j, col in enumerate(exact_step(m, e)):
+            assert got_m[j] == 0 or 1.0 <= abs(got_m[j]) < 2.0, (n, j)
+            if col is None:
+                assert got_m[j] == 0 and got_e[j] == 0, (n, j)
+                continue
+            S, re, im, absum = col
+            got = complex(math.ldexp(got_m[j].real, int(got_e[j]) - S),
+                          math.ldexp(got_m[j].imag, int(got_e[j]) - S))
+            assert cabs_err(got, (re, im)) <= (n + 2) * float(U) * absum, (n, j)
+
+    def random_case(self, rng, n, real=False, spread=40):
+        c = rng.standard_normal(n + 1)
+        if not real:
+            c = c + 1j * rng.standard_normal(n + 1)
+        if n > 3:
+            c[rng.integers(1, n)] = 0.0  # a missing term
+        m, e = _kernels.mantexp(c)
+        return m, np.where(m != 0, e + rng.integers(-spread, spread + 1, n + 1), 0)
 
     def test_mantissa_exponent_step(self):
         rng = np.random.default_rng(4)
         for n in (1, 2, 3, 5, 10, 17, 24, 31):
-            c = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
-            if n > 3:
-                c[rng.integers(1, n)] = 0.0  # a missing term
-            m, e = _kernels.mantexp(c)
-            e = e + rng.integers(-40, 41, n + 1)
-            got_m, got_e = _kernels.graeffe_step_me(m, e)
-            exact, absum = exact_graeffe(m, e)
-            for j in range(n + 1):
-                got = got_m[j] * 2.0 ** int(got_e[j])
-                assert got_m[j] == 0 or 1.0 <= abs(got_m[j]) < 2.0
-                assert cabs_err(got, exact[j]) <= (n + 2) * float(U) * absum[j], (n, j)
+            self.assert_step(*self.random_case(rng, n))
+
+    def test_sizes_across_block_edges(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        for n in (63, 64, 65, 200, 513):
+            self.assert_step(*self.random_case(rng, n))
+            self.assert_step(*self.random_case(rng, n, real=True))
+        # blocks of one to four columns
+        monkeypatch.setattr(_kernels, "_BLOCK", 97)
+        for n in (4, 31, 63, 64, 65, 100):
+            self.assert_step(*self.random_case(rng, n))
+
+    def test_real_mantissas(self):
+        rng = np.random.default_rng(10)
+        for n in (2, 7, 40, 129):
+            m, e = self.random_case(rng, n, real=True)
+            assert not m.imag.any()
+            self.assert_step(m, e)
+
+    def test_alternating_zero_coefficients(self):
+        # Chebyshev polynomials have every other coefficient zero
+        self.assert_step(*_kernels.mantexp(chebyshev1(64).coeffs))
+        self.assert_step(*_kernels.mantexp(chebyshev1(99).coeffs))
+        rng = np.random.default_rng(11)
+        for n in (30, 65):
+            m, e = self.random_case(rng, n)
+            m[1::2] = 0
+            self.assert_step(m, np.where(m != 0, e, 0))
+
+    def test_x_to_the_n_plus_one(self):
+        # (-1)**n (1 + x**n)(1 + (-x)**n) is y**n - 1 for odd n and
+        # y**n + 2 y**(n/2) + 1 for even n, y = x**2; every term is exact
+        for n in (1, 2, 5, 64, 65):
+            c = np.zeros(n + 1)
+            c[0] = c[-1] = 1.0
+            want = np.zeros(n + 1)
+            want[0], want[-1] = (-1.0) ** n, 1.0
+            if n % 2 == 0:
+                want[n // 2] = 2.0
+            m, e = _kernels.graeffe_step_me(*_kernels.mantexp(c))
+            assert np.array_equal(np.ldexp(m.real, e), want) and not m.imag.any()
+            self.assert_step(*_kernels.mantexp(c))
+
+    def test_exponent_spreads_past_the_float_range(self):
+        # with spreads of +-3000 most products fall below 2**-1022 of their
+        # column's largest one
+        rng = np.random.default_rng(12)
+        for n in (5, 33, 200):
+            self.assert_step(*self.random_case(rng, n, spread=3000))
+            self.assert_step(*self.random_case(rng, n, real=True, spread=3000))
+
+    def test_memory_stays_blocked(self):
+        # the step's temporaries are bounded by its block size, not n**2
+        m, e = _kernels.mantexp(np.random.default_rng(13).standard_normal(1025))
+        _kernels.graeffe_step_me(m, e)
+        tracemalloc.start()
+        try:
+            _kernels.graeffe_step_me(m, e)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20, peak
 
     def test_many_steps_agree(self):
         # twelve squarings of the worked example against the exact iterates;

@@ -109,6 +109,22 @@ class TestRefineInterval:
         root = rr.refine_interval(Polynomial([-2.0, 0.0, 1.0]), IsolationInterval(1.0, 2.0, "sign_change"), cfg)
         assert abs(root.value - sqrt2) <= 2.0**-40 * 2
 
+    def test_overflowing_derivative_bisects(self):
+        # Re p of two degree-512 family cells: near x = 4 the derivative
+        # overflows while p stays near 1e304, and a Newton step f/inf = 0
+        # used to end the refinement as a width-0 root 1.4e-6 off
+        from rootradii.bench import cell_seed
+        from rootradii.oracle import generate_family
+
+        for base, r in ((16, 8), (26, 12)):
+            p = Polynomial(np.real(generate_family(2, 512, r, cell_seed(base, 512, r, 2)).coeffs))
+            eig = np.roots(p.coeffs[::-1])
+            roots = rr.isolate_real_roots(p).roots
+            assert any(abs(x.value - 4.0) < 0.02 for x in roots)
+            for x in roots:
+                assert x.width > 0 or x.residual == 0, x
+                assert np.min(np.abs(eig - x.value)) <= 1e-7 * max(1.0, abs(x.value)), x
+
     def test_budget_exhaustion_returns_suspect(self):
         cfg = IsolatorConfig(precision_bits=50, work_budget=6)
         out = rr.refine_interval(Polynomial([-2.0, 0.0, 1.0]), IsolationInterval(1.0, 2.0, "sign_change"), cfg)
