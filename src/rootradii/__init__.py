@@ -27,7 +27,6 @@ from .poly import (
     evaluate,
     graeffe_step,
     negate_arg,
-    normalize,
     parse_coefficients,
     read_coefficients,
     reverse,
@@ -65,7 +64,6 @@ __all__ = [
     "reverse",
     "negate_arg",
     "graeffe_step",
-    "normalize",
     "root_radius_upper_bound",
     "read_coefficients",
     "write_coefficients",

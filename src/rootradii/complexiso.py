@@ -136,6 +136,8 @@ def shifted_families(p: Polynomial, rho: float, eta: float = 100.0, phi: float =
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
+    if not 0.0 < eta < math.inf:
+        raise ValueError("eta must be positive and finite")
     n = p.degree
     if n < 1:
         raise ValueError("need degree >= 1")

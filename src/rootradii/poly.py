@@ -1,11 +1,9 @@
 """Dense polynomial representation and elementary transforms.
 
-A polynomial is stored as an ascending coefficient vector plus a power-of-two
-scale: the represented polynomial is ``2**scale_log2 * sum(coeffs[i] * x**i)``.
-Root locations and root radii are invariant under the scale, which exists so
-that repeated Graeffe squaring can renormalize without changing the object's
-meaning.  Coefficients may be real or complex; all operations here are pure
-functions returning new objects.
+A polynomial is its ascending coefficient vector, real or complex, and nothing
+else.  The only scaled representation in the package is the radii engine's
+(mantissa, exponent) format of ``_kernels``, which ``graeffe_step`` runs on;
+a result outside the float64 range raises.  All operations are pure functions.
 """
 
 import math
@@ -24,7 +22,6 @@ __all__ = [
     "reverse",
     "negate_arg",
     "graeffe_step",
-    "normalize",
     "root_radius_upper_bound",
     "read_coefficients",
     "write_coefficients",
@@ -39,7 +36,7 @@ class PrecisionLossError(ArithmeticError):
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Ascending coefficient vector with a power-of-two scale exponent.
+    """Ascending coefficient vector, the polynomial's only field.
 
     The leading coefficient is nonzero except for the zero polynomial, which
     is represented as the single coefficient ``[0.0]``.  Trailing zero
@@ -47,7 +44,6 @@ class Polynomial:
     """
 
     coeffs: np.ndarray
-    scale_log2: float = 0.0
 
     def __post_init__(self):
         c = np.asarray(self.coeffs)
@@ -67,7 +63,6 @@ class Polynomial:
         c = c.copy()
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
-        object.__setattr__(self, "scale_log2", float(self.scale_log2))
 
     @property
     def degree(self):
@@ -81,19 +76,16 @@ class Polynomial:
     def is_zero(self):
         return self.degree == 0 and self.coeffs[0] == 0
 
-    def dense(self):
-        """Materialize ``2**scale_log2 * coeffs`` (may overflow for huge scales)."""
-        return self.coeffs * 2.0**self.scale_log2
-
 
 def evaluate(p: Polynomial, z) -> complex:
-    """Evaluate ``p`` at ``z`` by Horner's rule, including the scale factor.
+    """Evaluate ``p`` at ``z`` by Horner's rule.
 
-    Raises OverflowError when the scaled result is not finite, signaling the
-    caller to renormalize.
+    Raises OverflowError, with no numpy warning first, when the value or an
+    intermediate Horner sum leaves the float64 range.
     """
-    v, _ = _kernels.horner_pair(np.asarray(p.coeffs, dtype=np.complex128), complex(z))
-    out = complex(v) * 2.0**p.scale_log2
+    with np.errstate(over="ignore", invalid="ignore"):
+        v, _ = _kernels.horner_pair(np.asarray(p.coeffs, dtype=np.complex128), complex(z))
+    out = complex(v)
     if not (math.isfinite(out.real) and math.isfinite(out.imag)):
         raise OverflowError("evaluation overflowed the floating-point range")
     return out
@@ -102,37 +94,34 @@ def evaluate(p: Polynomial, z) -> complex:
 def derivative(p: Polynomial) -> Polynomial:
     """Coefficient-wise derivative; the derivative of a constant is the zero polynomial."""
     if p.degree == 0:
-        return Polynomial(np.zeros(1, dtype=p.coeffs.dtype), p.scale_log2)
-    n = p.degree
-    d = p.coeffs[1:] * np.arange(1, n + 1, dtype=np.float64)
-    return Polynomial(d, p.scale_log2)
+        return Polynomial(np.zeros(1, dtype=p.coeffs.dtype))
+    d = p.coeffs[1:] * np.arange(1, len(p.coeffs), dtype=np.float64)
+    return Polynomial(d)
 
 
 def taylor_shift(p: Polynomial, z) -> Polynomial:
     """Return ``q`` with ``q(x) = p(x + z)``, by Horner's rule over polynomials.
 
-    On overflow the shift is retried once on the normalized input; persistent
-    overflow raises PrecisionLossError.
+    Raises PrecisionLossError when a coefficient of the shift overflows the
+    float64 range.
     """
     z = complex(z)
-    for attempt in (0, 1):
-        src = p if attempt == 0 else normalize(p)
-        c = np.asarray(src.coeffs, dtype=np.complex128)
-        # out <- out*(x + z) + c_i, two vector ops per step; overflow to inf
-        # is deliberate, the finiteness check below catches it
-        out = c[-1:].copy()
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(len(c) - 2, -1, -1):
-                t = np.zeros(len(out) + 1, dtype=out.dtype)
-                t[1:] = out
-                t[:-1] += z * out
-                t[0] += c[i]
-                out = t
-        if np.isfinite(out.real).all() and np.isfinite(out.imag).all():
-            if src.is_real and z.imag == 0.0:
-                out = out.real
-            return Polynomial(out, src.scale_log2)
-    raise PrecisionLossError("taylor shift overflowed even after renormalization")
+    c = np.asarray(p.coeffs, dtype=np.complex128)
+    # out <- out*(x + z) + c_i, two vector ops per step; overflow to inf
+    # is deliberate, the finiteness check below catches it
+    out = c[-1:].copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(len(c) - 2, -1, -1):
+            t = np.zeros(len(out) + 1, dtype=out.dtype)
+            t[1:] = out
+            t[:-1] += z * out
+            t[0] += c[i]
+            out = t
+    if not (np.isfinite(out.real).all() and np.isfinite(out.imag).all()):
+        raise PrecisionLossError("taylor shift overflowed double precision")
+    if p.is_real and z.imag == 0.0:
+        out = out.real
+    return Polynomial(out)
 
 
 def reverse(p: Polynomial) -> Polynomial:
@@ -141,52 +130,36 @@ def reverse(p: Polynomial) -> Polynomial:
         raise ValueError(
             "constant term is zero: deflate the roots at the origin before reversing"
         )
-    return Polynomial(p.coeffs[::-1], p.scale_log2)
+    return Polynomial(p.coeffs[::-1])
 
 
 def negate_arg(p: Polynomial) -> Polynomial:
     """Return ``p(-x)``; maps every root ``x_j`` to ``-x_j``."""
     signs = np.where(np.arange(len(p.coeffs)) % 2 == 0, 1.0, -1.0)
-    return Polynomial(p.coeffs * signs, p.scale_log2)
+    return Polynomial(p.coeffs * signs)
 
 
 def graeffe_step(p: Polynomial) -> Polynomial:
     """One Dandelin/Graeffe root-squaring step: the output's roots are ``x_j**2``.
 
-    Splits ``p`` into even and odd parts ``e``, ``o`` and forms
-    ``(-1)**n * (e(x)**2 - x*o(x)**2)``, then renormalizes so the largest
-    coefficient magnitude lies in ``[1/2, 2]``, absorbing the factor into
-    ``scale_log2``.
+    Runs ``_kernels.graeffe_step_me`` on the (mantissa, exponent) split of the
+    coefficients and converts its output back exactly; interior coefficients
+    below the float64 range flush to 0, as in the radii engine.  Raises
+    PrecisionLossError when a coefficient overflows, or when the nonzero
+    leading or constant coefficient underflows to 0.
     """
     if p.coeffs[-1] == 0:
         raise ValueError("leading coefficient must be nonzero")
-    n = p.degree
-    c = p.coeffs
-    ev = c[0::2]
-    od = c[1::2]
-    sq = np.convolve(ev, ev)
-    out = np.zeros(n + 1, dtype=sq.dtype)
-    out[: len(sq)] += sq
-    if len(od):
-        so = np.convolve(od, od)
-        out[1 : len(so) + 1] -= so
-    if n % 2:
-        out = -out
-    if not np.isfinite(out).all():
+    m, e = _kernels.graeffe_step_me(*_kernels.mantexp(p.coeffs))
+    out = np.empty_like(m)
+    with np.errstate(over="ignore"):
+        out.real = np.ldexp(m.real, e)
+        out.imag = np.ldexp(m.imag, e)
+    if not (np.isfinite(out.real).all() and np.isfinite(out.imag).all()):
         raise PrecisionLossError("root-squaring overflowed double precision")
-    q = Polynomial(out, 2.0 * p.scale_log2)
-    return normalize(q)
-
-
-def normalize(p: Polynomial) -> Polynomial:
-    """Rescale so ``max |coeff|`` lies in ``[1/2, 2]``; the represented polynomial is unchanged."""
-    m = float(np.abs(p.coeffs).max())
-    if m == 0.0:
-        raise ValueError("cannot normalize the zero polynomial")
-    if 0.5 <= m <= 2.0:
-        return p
-    _, ex = math.frexp(m)
-    return Polynomial(p.coeffs * 2.0 ** float(-ex), p.scale_log2 + ex)
+    if any(m[j] != 0 and out[j] == 0 for j in (0, -1)):
+        raise PrecisionLossError("root-squaring underflowed an end coefficient")
+    return Polynomial(out)
 
 
 def root_radius_upper_bound(p: Polynomial) -> float:
@@ -251,12 +224,9 @@ def read_coefficients(path) -> Polynomial:
 
 
 def format_coefficients(p: Polynomial) -> str:
-    """The text form of ``p``: one line per coefficient of ``p.dense()``."""
-    dense = p.dense()
-    if not np.isfinite(dense).all():
-        raise OverflowError("scale_log2 too large to materialize in the text format")
+    """The text form of ``p``: one line per coefficient."""
     lines = []
-    for c in dense:
+    for c in p.coeffs:
         c = complex(c)
         if c.imag == 0.0:
             lines.append(f"{c.real:.17e}\n")

@@ -69,6 +69,8 @@ class IsolatorConfig:
             raise ValueError("work_budget must be positive")
         if self.max_real_roots is not None and self.max_real_roots < 1:
             raise ValueError("max_real_roots must be >= 1")
+        if self.max_retries < 0:
+            raise ValueError("max_retries must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -376,6 +378,8 @@ def isolate_real_roots(p: Polynomial, cfg: IsolatorConfig = None) -> RealIsolati
     cfg = cfg or IsolatorConfig()
     if not p.is_real:
         raise ValueError("real-root isolation requires real coefficients")
+    if p.is_zero:
+        raise ValueError("every x is a root of the zero polynomial")
     n = p.degree
     stats = {"squarings": 0, "sign_evals": 0, "newton_steps": 0, "max_newton_rounds": 0}
     if n == 0:

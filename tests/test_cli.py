@@ -101,6 +101,16 @@ class TestIsolateRealCommand:
         path.write_text("1 1\n1\n")
         assert main(["isolate-real", str(path)]) == 2
 
+    def test_zero_polynomial_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "zero.txt"
+        path.write_text("0\n0\n0\n")
+        assert main(["isolate-real", str(path)]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_negative_retries_exit_2(self, sect5_file, capsys):
+        assert main(["isolate-real", sect5_file, "--retries", "-1"]) == 2
+        assert "max_retries" in capsys.readouterr().err
+
 
 class TestIsolateComplexCommand:
     def test_fourth_roots_of_unity(self, tmp_path, capsys):
@@ -130,6 +140,12 @@ class TestIsolateComplexCommand:
         path.write_text("-1\n" + "0\n" * 512 + "1\n")
         assert main(["isolate-complex", str(path)]) == 3
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("eta", ["0", "-5"])
+    def test_nonpositive_eta_exit_2(self, sect5_file, capsys, eta):
+        assert main(["isolate-complex", sect5_file, "--eta", eta]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "eta must be positive" in captured.err
 
     def test_eta_knob(self, tmp_path, capsys):
         path = tmp_path / "x4m1.txt"

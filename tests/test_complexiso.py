@@ -220,6 +220,11 @@ class TestIsolateComplexRoots:
         with pytest.raises(ValueError):
             rr.isolate_complex_roots(sect5, rho=1e-3, eps=1.5, seed=0)
 
+    @pytest.mark.parametrize("eta", [0.0, -5.0, math.inf, math.nan])
+    def test_eta_validated(self, sect5, eta):
+        with pytest.raises(ValueError, match="eta must be positive and finite"):
+            rr.isolate_complex_roots(sect5, rho=1e-3, eps=0.05, seed=0, eta=eta)
+
     def test_polish_sharpens_simple_centers(self, sect5, sect5_oracle):
         rough = rr.isolate_complex_roots(sect5, rho=1e-4, eps=0.05, seed=3)
         fine = rr.isolate_complex_roots(sect5, rho=1e-4, eps=0.05, seed=3, polish=True)

@@ -185,6 +185,15 @@ class TestIsolateRealRoots:
         with pytest.raises(ValueError):
             rr.isolate_real_roots(Polynomial([1j, 1.0]))
 
+    def test_zero_polynomial_rejected(self):
+        # every x is a root, so an empty root list would be a wrong answer
+        with pytest.raises(ValueError, match="zero polynomial"):
+            rr.isolate_real_roots(Polynomial([0.0, 0.0]))
+
+    def test_negative_retries_rejected(self):
+        with pytest.raises(ValueError, match="max_retries"):
+            IsolatorConfig(max_retries=-1)
+
     def test_root_at_origin_found_exactly(self):
         res = rr.isolate_real_roots(Polynomial([0.0, -1.0, 1.0]))  # x(x-1)
         values = sorted(r.value for r in res.roots)
