@@ -120,6 +120,9 @@ def cmd_bench(args):
     if not sizes or not rs or not types or not all(t in (1, 2, 3) for t in types):
         print("error: empty or invalid grid", file=sys.stderr)
         return EXIT_INPUT
+    if not all(1 <= r < n for n in sizes for r in rs):
+        print("error: every grid pair needs 1 <= r < n", file=sys.stderr)
+        return EXIT_INPUT
     rows = bench_mod.run_bench(sizes, rs, types, seed=args.seed)
     sys.stdout.write(_BENCH_FORMATS[args.format](rows))
     return EXIT_OK

@@ -134,8 +134,8 @@ def shifted_families(p: Polynomial, rho: float, eta: float = 100.0, phi: float =
     family's annuli radii are the distances from its center to all roots,
     estimated to relative error ``rho / ((r1p + 1) * eta)``.
     """
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    if not 0.0 < rho < math.inf:
+        raise ValueError("rho must be positive and finite")
     if not 0.0 < eta < math.inf:
         raise ValueError("eta must be positive and finite")
     n = p.degree
@@ -233,34 +233,25 @@ def disambiguate_with_third(nodes, f3: AnnulusFamily, eps: float):
     and are dropped.  Returns (inclusions, unresolved_nodes); each inclusion
     carries ``eps`` as its failure-probability bound.
     """
-    confirmed = [False] * len(nodes)
-    touched = [False] * len(nodes)
     z3 = complex(f3.shift_center)
-    for a in f3.annuli:
-        hits = []
-        for i, node in enumerate(nodes):
-            d = abs(complex(node.center) - z3)
-            pad = node.half_width * math.sqrt(2.0)
-            if a.inner - pad <= d <= a.outer + pad:
-                hits.append(i)
-        for i in hits:
-            touched[i] = True
-        if len(hits) == 1:
-            confirmed[hits[0]] = True
-    inclusions = []
-    unresolved = []
-    for i, node in enumerate(nodes):
-        if confirmed[i]:
-            inclusions.append(
-                ComplexInclusion(
-                    disc_center=complex(node.center),
-                    disc_radius=node.disc_radius,
-                    multiplicity=node.multiplicity,
-                    failure_prob_bound=eps,
-                )
-            )
-        elif touched[i]:
-            unresolved.append(node)
+    d = np.array([abs(complex(node.center) - z3) for node in nodes])
+    pad = np.array([node.disc_radius for node in nodes])
+    inner = np.array([a.inner for a in f3.annuli])[:, None]
+    outer = np.array([a.outer for a in f3.annuli])[:, None]
+    hits = (inner - pad <= d) & (d <= outer + pad)  # annulus x node
+    confirmed = hits[hits.sum(axis=1) == 1].any(axis=0)
+    touched = hits.any(axis=0)
+    inclusions = [
+        ComplexInclusion(
+            disc_center=complex(node.center),
+            disc_radius=node.disc_radius,
+            multiplicity=node.multiplicity,
+            failure_prob_bound=eps,
+        )
+        for node, ok in zip(nodes, confirmed)
+        if ok
+    ]
+    unresolved = [node for node, ok, hit in zip(nodes, confirmed, touched) if hit and not ok]
     return inclusions, unresolved
 
 

@@ -26,13 +26,17 @@ class RootSet:
     sweeps: int
 
 
-def all_roots_oracle(p: Polynomial, tol: float = 1e-12, max_sweeps: int = 500) -> RootSet:
+_TOL = 1e-12
+_MAX_SWEEPS = 500
+
+
+def all_roots_oracle(p: Polynomial) -> RootSet:
     """Durand-Kerner simultaneous iteration started from LAPACK's roots.
 
     The starting points are the companion-matrix eigenvalues (``np.roots``)
     of the rescaled monic polynomial, or a perturbed circle when LAPACK fails
     or returns non-finite values.  Runs in double precision until the largest
-    per-sweep correction drops below ``tol`` or ``max_sweeps`` sweeps have
+    per-sweep correction drops below ``_TOL`` or ``_MAX_SWEEPS`` sweeps have
     passed.  ``converged`` also requires a backward-stable result:
     ``|p(z)| <= 4n u sum_i |c_i| |z|**i`` at every root, with ``u = 2**-53``.
     Non-convergence is flagged rather than raised.  Roots at the origin are
@@ -59,7 +63,7 @@ def all_roots_oracle(p: Polynomial, tol: float = 1e-12, max_sweeps: int = 500) -
         cs = np.where(np.abs(c) > 0, c / np.where(np.abs(c) > 0, np.abs(c), 1.0), 0.0)
         cs = cs * np.exp2(d)
         cs = cs / cs[n]
-        z, sweeps, converged = _durand_kerner(cs, _starting_points(cs), tol, max_sweeps)
+        z, sweeps, converged = _durand_kerner(cs, _starting_points(cs), _TOL, _MAX_SWEEPS)
         roots = z * s
         converged = converged and _backward_stable(c, roots)
     if nzero:

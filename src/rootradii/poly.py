@@ -119,8 +119,6 @@ def taylor_shift(p: Polynomial, z) -> Polynomial:
             out = t
     if not (np.isfinite(out.real).all() and np.isfinite(out.imag).all()):
         raise PrecisionLossError("taylor shift overflowed double precision")
-    if p.is_real and z.imag == 0.0:
-        out = out.real
     return Polynomial(out)
 
 

@@ -49,12 +49,12 @@ _FIRST_PASS_TARGET = 0.001
 class IsolatorConfig:
     """Tuning knobs for the isolation pipeline.
 
-    ``precision_bits`` sets the target relative error ``1/2**precision_bits``
-    of refined roots; ``max_real_roots`` caps the refined roots returned;
-    ``work_budget`` caps the total refinement effort, counted in polynomial
-    evaluations (a Newton step costs two, a bisection one); ``max_retries``
-    caps the retries, each of which re-runs the radii at a ten-fold smaller
-    tolerance where suspects remain.
+    ``precision_bits``, from 1 to 52, sets the target relative error
+    ``1/2**precision_bits`` of refined roots; ``max_real_roots`` caps the
+    refined roots returned; ``work_budget`` caps the total refinement effort,
+    counted in polynomial evaluations (a Newton step costs two, a bisection
+    one); ``max_retries`` caps the retries, each of which re-runs the radii at
+    a ten-fold smaller tolerance where suspects remain.
     """
 
     precision_bits: int = 27
@@ -63,8 +63,9 @@ class IsolatorConfig:
     max_retries: int = 2
 
     def __post_init__(self):
-        if self.precision_bits < 1:
-            raise ValueError("precision_bits must be >= 1")
+        # past the float64 mantissa the refinement's stop test cannot be met
+        if not 1 <= self.precision_bits <= 52:
+            raise ValueError("precision_bits must be in [1, 52]")
         if self.work_budget <= 0:
             raise ValueError("work_budget must be positive")
         if self.max_real_roots is not None and self.max_real_roots < 1:

@@ -111,6 +111,11 @@ class TestIsolateRealCommand:
         assert main(["isolate-real", sect5_file, "--retries", "-1"]) == 2
         assert "max_retries" in capsys.readouterr().err
 
+    def test_bits_past_mantissa_exit_2(self, sect5_file, capsys):
+        assert main(["isolate-real", sect5_file, "--bits", "53"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "precision_bits" in captured.err
+
 
 class TestIsolateComplexCommand:
     def test_fourth_roots_of_unity(self, tmp_path, capsys):
@@ -146,6 +151,12 @@ class TestIsolateComplexCommand:
         assert main(["isolate-complex", sect5_file, "--eta", eta]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "eta must be positive" in captured.err
+
+    @pytest.mark.parametrize("rho", ["0", "-1", "inf", "nan"])
+    def test_bad_rho_exit_2(self, sect5_file, capsys, rho):
+        assert main(["isolate-complex", sect5_file, "--rho", rho]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "rho must be positive and finite" in captured.err
 
     def test_eta_knob(self, tmp_path, capsys):
         path = tmp_path / "x4m1.txt"
@@ -185,6 +196,12 @@ class TestBenchCommand:
 
     def test_bad_grid_exit_2(self, capsys):
         assert main(["bench", "--sizes", "", "--rs", "4", "--types", "1"]) == 2
+
+    @pytest.mark.parametrize("sizes, rs", [("4", "8"), ("64", "0"), ("64", "4,64")])
+    def test_r_outside_degree_exit_2(self, capsys, sizes, rs):
+        assert main(["bench", "--sizes", sizes, "--rs", rs, "--types", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "1 <= r < n" in captured.err
 
 
 class TestUsageErrors:

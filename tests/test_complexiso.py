@@ -225,6 +225,11 @@ class TestIsolateComplexRoots:
         with pytest.raises(ValueError, match="eta must be positive and finite"):
             rr.isolate_complex_roots(sect5, rho=1e-3, eps=0.05, seed=0, eta=eta)
 
+    @pytest.mark.parametrize("rho", [0.0, -1.0, math.inf, math.nan])
+    def test_rho_validated(self, sect5, rho):
+        with pytest.raises(ValueError, match="rho must be positive and finite"):
+            rr.isolate_complex_roots(sect5, rho=rho, eps=0.05, seed=0)
+
     def test_polish_sharpens_simple_centers(self, sect5, sect5_oracle):
         rough = rr.isolate_complex_roots(sect5, rho=1e-4, eps=0.05, seed=3)
         fine = rr.isolate_complex_roots(sect5, rho=1e-4, eps=0.05, seed=3, polish=True)

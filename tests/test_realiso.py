@@ -194,6 +194,17 @@ class TestIsolateRealRoots:
         with pytest.raises(ValueError, match="max_retries"):
             IsolatorConfig(max_retries=-1)
 
+    def test_precision_bits_past_mantissa_rejected(self):
+        with pytest.raises(ValueError, match="precision_bits"):
+            IsolatorConfig(precision_bits=53)
+
+    def test_sqrt2_pair_at_52_bits(self):
+        res = rr.isolate_real_roots(Polynomial([-2.0, 0.0, 1.0]), IsolatorConfig(precision_bits=52))
+        assert res.suspects == ()
+        values = sorted(r.value for r in res.roots)
+        assert len(values) == 2
+        assert all(abs(abs(v) - math.sqrt(2.0)) <= 2.0**-51 for v in values)
+
     def test_root_at_origin_found_exactly(self):
         res = rr.isolate_real_roots(Polynomial([0.0, -1.0, 1.0]))  # x(x-1)
         values = sorted(r.value for r in res.roots)
