@@ -13,7 +13,7 @@ well-separated nodes.
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -287,7 +287,7 @@ def _newton_polish(p: Polynomial, z: complex, steps: int = 4) -> complex:
         z = z - step
         if abs(step) < 1e-15 * max(1.0, abs(z)):
             break
-    return z
+    return complex(z)
 
 
 def isolate_complex_roots(
@@ -296,15 +296,14 @@ def isolate_complex_roots(
     eps: float,
     seed: int,
     eta: float = 100.0,
-    polish: bool = False,
 ) -> ComplexIsolationResult:
     """Full Algorithm-2 driver with a seeded random direction.
 
     Confirmed inclusions each contain a root within ``rho*sqrt(2)`` of the
     disc center (with probability at least ``1 - eps`` for roots separated
     beyond the reported bound).  Unresolved nodes are returned rather than
-    retried; re-running with a fresh seed draws a new direction.  With
-    ``polish`` the multiplicity-1 disc centers take a few plain Newton steps.
+    retried; re-running with a fresh seed draws a new direction.  Every
+    multiplicity-1 disc center is polished by a few plain Newton steps.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
@@ -314,18 +313,12 @@ def isolate_complex_roots(
     r1p = root_radius_upper_bound(p)
     nodes = grid_from_two_families(f1, f2, r1p)
     inclusions, unresolved = disambiguate_with_third(nodes, f3, eps=eps)
-    if polish:
-        inclusions = [
-            ComplexInclusion(
-                disc_center=_newton_polish(p, inc.disc_center)
-                if inc.multiplicity == 1
-                else inc.disc_center,
-                disc_radius=inc.disc_radius,
-                multiplicity=inc.multiplicity,
-                failure_prob_bound=inc.failure_prob_bound,
-            )
-            for inc in inclusions
-        ]
+    inclusions = [
+        replace(inc, disc_center=_newton_polish(p, inc.disc_center))
+        if inc.multiplicity == 1
+        else inc
+        for inc in inclusions
+    ]
     n = p.degree
     sep = theoretical_separation(max(1, len(nodes)), rho, eps)
     sep_n4 = (SEPARATION_CONSTANT * n**4 + 2.0 * eps) * rho / eps

@@ -19,7 +19,6 @@ root never produces a sign change and is invisible by design.
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -47,18 +46,16 @@ _FIRST_PASS_TARGET = 0.001
 
 @dataclass(frozen=True)
 class IsolatorConfig:
-    """Tuning knobs for the isolation pipeline.
+    """Tuning knobs for the isolation pipeline; every refined root is returned.
 
     ``precision_bits``, from 1 to 52, sets the target relative error
-    ``1/2**precision_bits`` of refined roots; ``max_real_roots`` caps the
-    refined roots returned; ``work_budget`` caps the total refinement effort,
-    counted in polynomial evaluations (a Newton step costs two, a bisection
-    one); ``max_retries`` caps the retries, each of which re-runs the radii at
-    a ten-fold smaller tolerance where suspects remain.
+    ``1/2**precision_bits`` of refined roots; ``work_budget`` caps the total
+    refinement effort, counted in polynomial evaluations (a Newton step costs
+    two, a bisection one); ``max_retries`` caps the retries, each of which
+    re-runs the radii at a ten-fold smaller tolerance where suspects remain.
     """
 
     precision_bits: int = 27
-    max_real_roots: Optional[int] = None
     work_budget: int = 4096
     max_retries: int = 2
 
@@ -68,8 +65,6 @@ class IsolatorConfig:
             raise ValueError("precision_bits must be in [1, 52]")
         if self.work_budget <= 0:
             raise ValueError("work_budget must be positive")
-        if self.max_real_roots is not None and self.max_real_roots < 1:
-            raise ValueError("max_real_roots must be >= 1")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
 
@@ -98,6 +93,12 @@ class RealIsolationResult:
     roots: tuple
     suspects: tuple
     stats: dict = field(default_factory=dict)
+
+
+def _require_real(p: Polynomial):
+    # the sign tests compare real values; a complex input would be cast to its real part
+    if not p.is_real:
+        raise ValueError("real-root isolation requires real coefficients")
 
 
 def candidate_intervals(radii: RadiiEstimate):
@@ -191,6 +192,7 @@ def select_sign_change_intervals(p: Polynomial, candidates):
     interval at that point; an overflowing evaluation marks the interval
     suspect instead of aborting.
     """
+    _require_real(p)
     selected, zeros, suspects, _ = _select(p, candidates)
     return selected + zeros + suspects
 
@@ -204,12 +206,15 @@ def _refine(p: Polynomial, iv: IsolationInterval, cfg: IsolatorConfig, budget: i
     c = np.asarray(p.coeffs, dtype=np.float64)
     tol_bits = 2.0**-cfg.precision_bits
 
-    def residual_at(x):
+    def root(x, width=0.0, res=0.0):
+        return RealRoot(float(x), float(width), float(res), iv)
+
+    def converged(x, width):  # one more evaluation, for the residual
         v, _ = _kernels.horner_pair(c, float(x))
-        return abs(v)
+        return root(x, width, abs(v))
 
     if iv.lo == iv.hi:
-        return RealRoot(iv.lo, 0.0, residual_at(iv.lo), iv), 1, 0, 0
+        return converged(iv.lo, 0.0), 1, 0, 0
 
     lo, hi = iv.lo, iv.hi
     evals = 0
@@ -217,9 +222,9 @@ def _refine(p: Polynomial, iv: IsolationInterval, cfg: IsolatorConfig, budget: i
     fhi, _ = _kernels.horner_pair(c, hi)
     evals += 2
     if flo == 0.0:
-        return RealRoot(lo, 0.0, 0.0, iv), evals, 0, 0
+        return root(lo), evals, 0, 0
     if fhi == 0.0:
-        return RealRoot(hi, 0.0, 0.0, iv), evals, 0, 0
+        return root(hi), evals, 0, 0
     slo = math.copysign(1.0, flo)
 
     y = 0.5 * (lo + hi)
@@ -233,7 +238,7 @@ def _refine(p: Polynomial, iv: IsolationInterval, cfg: IsolatorConfig, budget: i
             evals += 2
             steps += 1
             if f == 0.0:
-                return RealRoot(y, 0.0, 0.0, iv), evals, steps, rounds
+                return root(y), evals, steps, rounds
             if math.copysign(1.0, f) == slo:
                 lo = y
             else:
@@ -246,10 +251,7 @@ def _refine(p: Polynomial, iv: IsolationInterval, cfg: IsolatorConfig, budget: i
                 need_bisect = True
                 break
             if abs(y_next - y) < tol_bits * max(1.0, abs(y_next)):
-                width = 2.0 * abs(y_next - y)
-                res = residual_at(y_next)
-                evals += 1
-                return RealRoot(float(y_next), width, res, iv), evals, steps + 1, rounds
+                return converged(y_next, 2.0 * abs(y_next - y)), evals + 1, steps + 1, rounds
             y = y_next
         if not need_bisect and evals >= budget:
             break
@@ -258,16 +260,14 @@ def _refine(p: Polynomial, iv: IsolationInterval, cfg: IsolatorConfig, budget: i
         fm, _ = _kernels.horner_pair(c, m)
         evals += 1
         if fm == 0.0:
-            return RealRoot(m, 0.0, 0.0, iv), evals, steps, rounds
+            return root(m), evals, steps, rounds
         if math.copysign(1.0, fm) == slo:
             lo = m
         else:
             hi = m
         y = 0.5 * (lo + hi)
         if hi - lo < tol_bits * max(1.0, abs(y)):
-            res = residual_at(y)
-            evals += 1
-            return RealRoot(float(y), hi - lo, res, iv), evals, steps, rounds
+            return converged(y, hi - lo), evals + 1, steps, rounds
     return IsolationInterval(lo, hi, "suspect_ill_conditioned"), evals, steps, rounds
 
 
@@ -279,6 +279,7 @@ def refine_interval(p: Polynomial, iv: IsolationInterval, cfg: IsolatorConfig = 
     first, the (shrunken) interval comes back with status
     ``suspect_ill_conditioned``.
     """
+    _require_real(p)
     cfg = cfg or IsolatorConfig()
     result, _, _, _ = _refine(p, iv, cfg, cfg.work_budget)
     return result
@@ -290,14 +291,19 @@ def _positive_root_bound(p: Polynomial):
     Only coefficients whose sign opposes the leading one can create a positive
     root; if there are none the polynomial is single-signed on (0, inf).
     """
-    c = p.coeffs
+    c = p.coeffs.tolist()
     n = p.degree
     an = c[n]
     best = None
     for i in range(1, n + 1):
         a = c[n - i]
         if a != 0.0 and (a > 0) != (an > 0):
-            r = (abs(a) / abs(an)) ** (1.0 / i)
+            q = abs(a) / abs(an)
+            if 0.0 < q < math.inf:
+                r = q ** (1.0 / i)
+            else:  # the ratio left the float range; its i-th root may not have
+                t = (math.log2(abs(a)) - math.log2(abs(an))) / i
+                r = 2.0**t if t < 1024.0 else math.inf
             if best is None or r > best:
                 best = r
     return None if best is None else 2.0 * best
@@ -310,8 +316,7 @@ def narrow_root_ranges(p: Polynomial):
     bounds from their reversals; a range is None when that sign has no roots
     at all.  A zero constant term reports the lower bounds as 0.
     """
-    if not p.is_real:
-        raise ValueError("narrowing requires real coefficients")
+    _require_real(p)
     if p.coeffs[-1] == 0:
         raise ValueError("leading coefficient must be nonzero")
 
@@ -321,7 +326,8 @@ def narrow_root_ranges(p: Polynomial):
         b = _positive_root_bound(reverse(q))
         if b is None:
             return None
-        return 1.0 / b
+        # a bound that underflowed to 0 puts the roots past the float range
+        return 1.0 / b if b > 0.0 else math.inf
 
     pos_hi = _positive_root_bound(p)
     pos_lo = lower_from_reverse(p)
@@ -373,19 +379,15 @@ def isolate_real_roots(p: Polynomial, cfg: IsolatorConfig = None) -> RealIsolati
     If the first pass leaves suspects and retries remain, the radii are
     recomputed at a ten-fold smaller tolerance and only candidates meeting the
     suspect regions are re-refined.  Converged roots agreeing within
-    ``2**(1-b)`` relative are merged.  Only refined roots count toward
-    ``max_real_roots``; suspects do not.
+    ``2**(1-b)`` relative are merged.
     """
     cfg = cfg or IsolatorConfig()
-    if not p.is_real:
-        raise ValueError("real-root isolation requires real coefficients")
+    _require_real(p)
     if p.is_zero:
         raise ValueError("every x is a root of the zero polynomial")
-    n = p.degree
     stats = {"squarings": 0, "sign_evals": 0, "newton_steps": 0, "max_newton_rounds": 0}
-    if n == 0:
+    if p.degree == 0:
         return RealIsolationResult((), (), stats)
-    max_roots = cfg.max_real_roots if cfg.max_real_roots is not None else n
 
     target = _FIRST_PASS_TARGET
     pos_range, neg_range = narrow_root_ranges(p)
@@ -399,7 +401,7 @@ def isolate_real_roots(p: Polynomial, cfg: IsolatorConfig = None) -> RealIsolati
             stats["squarings"] = est.squarings_used
         cands = _clip_to_ranges(candidate_intervals(est), pos_range, neg_range)
         if attempt > 0:
-            # retry only where the previous pass ran out of budget
+            # retry where the last pass left suspects: budget ran out or the sign test overflowed
             cands = [
                 iv
                 for iv in cands
@@ -411,8 +413,7 @@ def isolate_real_roots(p: Polynomial, cfg: IsolatorConfig = None) -> RealIsolati
         stats["sign_evals"] += nevals
         suspects = list(overflow_suspects)
         for z in zeros:
-            roots.append(RealRoot(z.lo, 0.0, 0.0, z))
-        capped = False
+            roots.append(RealRoot(float(z.lo), 0.0, 0.0, z))
         if selected:
             per_budget = max(8, math.ceil(budget_left / len(selected)))
             for iv in selected:
@@ -422,13 +423,10 @@ def isolate_real_roots(p: Polynomial, cfg: IsolatorConfig = None) -> RealIsolati
                 stats["max_newton_rounds"] = max(stats["max_newton_rounds"], rounds)
                 if isinstance(got, RealRoot):
                     roots.append(got)
-                    if len(_dedup_roots(roots, cfg.precision_bits)) >= max_roots:
-                        capped = True
-                        break
                 else:
                     suspects.append(got)
-        if capped or not suspects:
+        if not suspects:
             break
         target /= 10.0
-    roots = _dedup_roots(roots, cfg.precision_bits)[:max_roots]
+    roots = _dedup_roots(roots, cfg.precision_bits)
     return RealIsolationResult(tuple(roots), tuple(suspects), stats)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -133,6 +134,20 @@ class TestRefineInterval:
         assert 1.0 <= out.lo <= out.hi <= 2.0
 
 
+@pytest.mark.parametrize(
+    "stage",
+    [
+        lambda p: rr.select_sign_change_intervals(p, [IsolationInterval(1.0, 2.0)]),
+        lambda p: rr.refine_interval(p, IsolationInterval(1.0, 2.0)),
+    ],
+    ids=["select_sign_change_intervals", "refine_interval"],
+)
+def test_real_stage_rejects_complex_coefficients(stage):
+    # x**2 - (2 - i) has no real root; its real part x**2 - 2 has sqrt(2)
+    with pytest.raises(ValueError, match="requires real coefficients"):
+        stage(Polynomial([-2.0 + 1j, 0.0, 1.0]))
+
+
 class TestNarrowRootRanges:
     def test_even_quadratic(self):
         pos, neg = rr.narrow_root_ranges(Polynomial([-4.0, 0.0, 1.0]))
@@ -158,6 +173,22 @@ class TestNarrowRootRanges:
     def test_zero_constant_reports_zero_lower_bound(self):
         pos, neg = rr.narrow_root_ranges(Polynomial([0.0, -1.0, 1.0]))  # x(x-1)
         assert pos is not None and pos[0] == 0.0
+
+    @pytest.mark.parametrize("root", [1e300, 1e-300])
+    def test_extreme_scales_contain_roots(self, root):
+        # (x**2 - root**2) / root: the coefficient ratio root**2 leaves the float range
+        pos, neg = rr.narrow_root_ranges(Polynomial([-root, 0.0, 1.0 / root]))
+        assert pos[0] <= root <= pos[1]
+        assert neg[0] <= -root <= neg[1]
+
+    @pytest.mark.parametrize("coeffs, root", [([1e300, 1e-300], -math.inf), ([1e-300, 1e300], -0.0)])
+    def test_root_past_float_range(self, coeffs, root):
+        # the roots -1e600 and -1e-600 round to -inf and -0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pos, neg = rr.narrow_root_ranges(Polynomial(coeffs))
+        assert pos is None
+        assert neg[0] <= root <= neg[1]
 
 
 class TestIsolateRealRoots:
@@ -246,11 +277,6 @@ class TestIsolateRealRoots:
             for want, got in zip(roots, res.roots):
                 assert abs(got.value - want) <= 2.0**-26 * max(1.0, abs(want))
 
-    def test_max_real_roots_cap(self, sect5):
-        cfg = IsolatorConfig(max_real_roots=2)
-        res = rr.isolate_real_roots(sect5, cfg)
-        assert len(res.roots) == 2
-
     def test_result_sorted_by_value(self, oracle_corpus):
         for p, _ in oracle_corpus[:20]:
             res = rr.isolate_real_roots(p)
@@ -263,6 +289,22 @@ class TestIsolateRealRoots:
         assert len(res.roots) == 2
         assert abs(res.roots[0].value - 1e6) <= 1e6 * 2.0**-26
         assert abs(res.roots[1].value - 2e6) <= 2e6 * 2.0**-26
+
+    def test_roots_at_1e300(self):
+        res = rr.isolate_real_roots(Polynomial([-1e300, 0.0, 1e-300]))
+        values = sorted(r.value for r in res.roots)
+        assert len(values) == 2
+        assert all(abs(abs(v) - 1e300) <= 1e300 * 2.0**-26 for v in values)
+
+    def test_record_numbers_are_python_floats(self, sect5):
+        roots = list(rr.isolate_real_roots(sect5).roots)
+        # an exact zero at an endpoint, and one at a Newton iterate
+        x_minus_1 = Polynomial([-1.0, 1.0])
+        roots.append(rr.refine_interval(x_minus_1, IsolationInterval(np.float64(1.0), np.float64(2.0))))
+        roots.append(rr.refine_interval(x_minus_1, IsolationInterval(0.5, 3.0)))
+        assert [r.value for r in roots[-2:]] == [1.0, 1.0]
+        for r in roots:
+            assert type(r.value) is type(r.width) is type(r.residual) is float, r
 
     def test_tiny_leading_coefficient(self):
         res = rr.isolate_real_roots(Polynomial([1.0, 1.0, 1e-8]))
