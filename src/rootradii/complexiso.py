@@ -192,8 +192,11 @@ def grid_from_two_families(f1: AnnulusFamily, f2: AnnulusFamily, r1_plus: float)
     Each crossing of the two mid-circles that lands in the root disc becomes a
     grid node; its half-width is derived from the annuli widths and the
     crossing angle, and its multiplicity is the smaller of the two annulus
-    multiplicities.
+    multiplicities.  Raises PrecisionLossError when the squared distance of
+    the shift centers from 0 falls below the normal float range.
     """
+    if abs(complex(f1.shift_center)) ** 2 < 2.0**-1022:
+        raise PrecisionLossError("roots too close to 0 for the grid's squared lengths")
     nodes = []
     for a1 in f1.annuli:
         for a2 in f2.annuli:
@@ -303,7 +306,8 @@ def isolate_complex_roots(
     disc center (with probability at least ``1 - eps`` for roots separated
     beyond the reported bound).  Unresolved nodes are returned rather than
     retried; re-running with a fresh seed draws a new direction.  Every
-    multiplicity-1 disc center is polished by a few plain Newton steps.
+    multiplicity-1 disc center is polished by a few plain Newton steps.  A
+    pure power ``c * x**n`` gives the single exact inclusion ``(0, 0, n)``.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
@@ -311,8 +315,12 @@ def isolate_complex_roots(
     phi = float(rng.uniform(math.pi / 8.0, 3.0 * math.pi / 8.0))
     f1, f2, f3 = shifted_families(p, rho, eta=eta, phi=phi)
     r1p = root_radius_upper_bound(p)
-    nodes = grid_from_two_families(f1, f2, r1p)
-    inclusions, unresolved = disambiguate_with_third(nodes, f3, eps=eps)
+    if r1p == 0.0:  # p is c * x**n: one exact root of multiplicity n, at 0
+        nodes, unresolved = [], []
+        inclusions = [ComplexInclusion(0j, 0.0, p.degree, 0.0)]
+    else:
+        nodes = grid_from_two_families(f1, f2, r1p)
+        inclusions, unresolved = disambiguate_with_third(nodes, f3, eps=eps)
     inclusions = [
         replace(inc, disc_center=_newton_polish(p, inc.disc_center))
         if inc.multiplicity == 1

@@ -160,25 +160,40 @@ def graeffe_step(p: Polynomial) -> Polynomial:
     return Polynomial(out)
 
 
+def _ratio_bound(mags):
+    """``2 * max_i (mags[n-i]/mags[n])**(1/i)`` over the nonzero ``mags[n-i]``, or 0.0 if none.
+
+    ``mags`` is a list of ascending coefficient magnitudes with a nonzero last
+    entry.  A ratio outside the float range goes through ``log2``, and a term
+    that still underflows counts as the smallest subnormal, so the bound is 0.0
+    only when every lower magnitude is 0.
+    """
+    n = len(mags) - 1
+    an = mags[n]
+    best = 0.0
+    for i in range(1, n + 1):
+        a = mags[n - i]
+        if a != 0.0:
+            q = a / an
+            if 0.0 < q < math.inf:
+                r = q ** (1.0 / i)
+            else:  # the ratio left the float range; its i-th root may not have
+                t = (math.log2(a) - math.log2(an)) / i
+                r = max(2.0**t, math.ulp(0.0)) if t < 1024.0 else math.inf
+            best = max(best, r)
+    return 2.0 * best
+
+
 def root_radius_upper_bound(p: Polynomial) -> float:
     """Coefficient-ratio upper bound ``2 * max_i |p_{n-i}/p_n|**(1/i)`` on the largest root radius.
 
-    Satisfies ``0.5 * bound / n <= max_j |x_j| <= bound``.  Scale-invariant.
+    Satisfies ``0.5 * bound / n <= max_j |x_j| <= bound``.  Scale-invariant and
+    range-safe: ratios outside the float range neither warn nor round the
+    bound to 0, which it is exactly for ``c * x**n``.
     """
     if p.coeffs[-1] == 0:
         raise ValueError("leading coefficient must be nonzero")
-    n = p.degree
-    if n == 0:
-        return 0.0
-    an = abs(p.coeffs[-1])
-    best = 0.0
-    for i in range(1, n + 1):
-        a = abs(p.coeffs[n - i])
-        if a != 0.0:
-            r = (a / an) ** (1.0 / i)
-            if r > best:
-                best = r
-    return 2.0 * best
+    return _ratio_bound([abs(a) for a in p.coeffs.tolist()])
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,8 @@ def _hull_radii(m, e, k):
     large the exponents have grown; the stop rule of ``_radii`` keeps every
     exponent within ``2**52``, so the difference converts to float exactly.
     Zero coefficients are simply absent from the hull.  Requires nonzero
-    constant and leading coefficients.
+    constant and leading coefficients; raises PrecisionLossError when a radius
+    overflows or underflows to 0.
     """
     xs = []
     es = []
@@ -94,8 +95,10 @@ def _hull_radii(m, e, k):
     out = []
     for t in range(len(hull) - 1):
         a, b = hull[t], hull[t + 1]
-        slope = ydiff(a, b) / (xs[b] - xs[a])
-        r = 2.0 ** (-slope / scale)
+        log_r = -ydiff(a, b) / (xs[b] - xs[a]) / scale
+        r = 2.0**log_r if log_r < 1024.0 else math.inf
+        if not 0.0 < r < math.inf:
+            raise PrecisionLossError(f"a root radius of 2**{log_r:.6g} is outside the float range")
         out.extend([r] * (xs[b] - xs[a]))
     out.reverse()
     return np.array(out, dtype=np.float64)

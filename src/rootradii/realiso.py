@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .poly import Polynomial, negate_arg, reverse
+from .poly import Polynomial, _ratio_bound
 from .radii import RadiiEstimate, refined_radii
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "narrow_root_ranges",
 ]
 
-_ENDPOINT_MERGE_RTOL = 1e-12
 _DERIV_FLOOR = 1e-300
 # radii tolerance of the first pass; each retry divides it by ten
 _FIRST_PASS_TARGET = 0.001
@@ -106,46 +105,25 @@ def candidate_intervals(radii: RadiiEstimate):
 
     A radius ``r`` with guarantee factor ``1+d`` yields ``[r/(1+d), r(1+d)]``
     and ``[-r(1+d), -r/(1+d)]``; a zero radius yields the single point
-    ``[0, 0]``.  Coinciding intervals (endpoints equal within 1e-12 relative)
-    are merged; mere overlaps are kept, they carry information.
+    ``[0, 0]``.  Equal intervals (from equal radii) are kept once, in sorted
+    order; intervals that merely overlap or nearly coincide are all kept, as
+    their endpoints may bracket different roots.
     """
     fac = radii.rel_factor
-    raw = []
-    for r in radii.radii:
-        r = float(r)
+    out = set()
+    for r in radii.radii.tolist():
         if r == 0.0:
-            raw.append((0.0, 0.0))
+            out.add((0.0, 0.0))
         else:
-            raw.append((r / fac, r * fac))
-            raw.append((-r * fac, -r / fac))
-    raw.sort()
-    out = []
-    for lo, hi in raw:
-        if out:
-            plo, phi = out[-1]
-            tol_lo = _ENDPOINT_MERGE_RTOL * max(1.0, abs(lo))
-            tol_hi = _ENDPOINT_MERGE_RTOL * max(1.0, abs(hi))
-            if abs(lo - plo) <= tol_lo and abs(hi - phi) <= tol_hi:
-                continue
-        out.append((lo, hi))
-    return [IsolationInterval(lo, hi, "candidate") for lo, hi in out]
+            out.add((r / fac, r * fac))
+            out.add((-r * fac, -r / fac))
+    return [IsolationInterval(lo, hi, "candidate") for lo, hi in sorted(out)]
 
 
 def _distinct_endpoints(intervals):
-    """Sorted endpoint set with near-coincident points (1e-12 relative) merged.
-
-    Also returns, per interval, the indices of the merged points that its
-    ``lo`` and ``hi`` went into.
-    """
-    pts = [t for iv in intervals for t in (iv.lo, iv.hi)]
-    merged = []
-    rep = [0] * len(pts)
-    for k in sorted(range(len(pts)), key=pts.__getitem__):
-        t = pts[k]
-        if not (merged and abs(t - merged[-1]) <= _ENDPOINT_MERGE_RTOL * max(1.0, abs(t))):
-            merged.append(t)
-        rep[k] = len(merged) - 1
-    return merged, list(zip(rep[0::2], rep[1::2]))
+    """The sorted distinct endpoints, and per interval the indices of its ``lo`` and ``hi``."""
+    xs, idx = np.unique([t for iv in intervals for t in (iv.lo, iv.hi)], return_inverse=True)
+    return xs, idx.reshape(-1, 2).tolist()
 
 
 def _select(p: Polynomial, candidates):
@@ -156,8 +134,7 @@ def _select(p: Polynomial, candidates):
     """
     if not candidates:
         return [], [], [], 0
-    merged, ends = _distinct_endpoints(candidates)
-    xs = np.array(merged, dtype=np.float64)
+    xs, ends = _distinct_endpoints(candidates)
     with np.errstate(over="ignore", invalid="ignore"):
         vals = _kernels.horner_points(np.asarray(p.coeffs, dtype=np.float64), xs)
     finite = np.isfinite(vals)
@@ -175,13 +152,13 @@ def _select(p: Polynomial, candidates):
         for idx in (i_lo, i_hi):
             if signs[idx] == 0.0 and idx not in seen_zero:
                 seen_zero.add(idx)
-                zeros.append(IsolationInterval(merged[idx], merged[idx], "refined"))
+                zeros.append(IsolationInterval(float(xs[idx]), float(xs[idx]), "refined"))
                 hit = True
         if hit:
             continue
         if signs[i_lo] * signs[i_hi] < 0:
             selected.append(IsolationInterval(iv.lo, iv.hi, "sign_change"))
-    return selected, zeros, suspects, len(merged)
+    return selected, zeros, suspects, len(xs)
 
 
 def select_sign_change_intervals(p: Polynomial, candidates):
@@ -285,59 +262,37 @@ def refine_interval(p: Polynomial, iv: IsolationInterval, cfg: IsolatorConfig = 
     return result
 
 
-def _positive_root_bound(p: Polynomial):
-    """Cauchy-style upper bound on positive roots, or None when there are none.
+def _positive_root_bound(c):
+    """Cauchy-style upper bound on the positive roots of ``c`` (ascending), or None if none.
 
     Only coefficients whose sign opposes the leading one can create a positive
     root; if there are none the polynomial is single-signed on (0, inf).
     """
-    c = p.coeffs.tolist()
-    n = p.degree
-    an = c[n]
-    best = None
-    for i in range(1, n + 1):
-        a = c[n - i]
-        if a != 0.0 and (a > 0) != (an > 0):
-            q = abs(a) / abs(an)
-            if 0.0 < q < math.inf:
-                r = q ** (1.0 / i)
-            else:  # the ratio left the float range; its i-th root may not have
-                t = (math.log2(abs(a)) - math.log2(abs(an))) / i
-                r = 2.0**t if t < 1024.0 else math.inf
-            if best is None or r > best:
-                best = r
-    return None if best is None else 2.0 * best
+    lead = c[-1] > 0
+    b = _ratio_bound([abs(a) if (a > 0) != lead else 0.0 for a in c[:-1]] + [abs(c[-1])])
+    return b if b > 0.0 else None
 
 
 def narrow_root_ranges(p: Polynomial):
     """Outer bounds for the positive and negative roots from four transforms.
 
-    Upper bounds come from the polynomial and its argument negation, lower
-    bounds from their reversals; a range is None when that sign has no roots
-    at all.  A zero constant term reports the lower bounds as 0.
+    Upper bounds come from the coefficients and from those of the argument
+    negation (odd coefficients flipped); lower bounds are the reciprocals of
+    the bounds for their reversals.  A range is None when that sign has no
+    roots at all.  A zero constant term reports the lower bounds as 0.
     """
     _require_real(p)
     if p.coeffs[-1] == 0:
         raise ValueError("leading coefficient must be nonzero")
-
-    def lower_from_reverse(q):
-        if q.coeffs[0] == 0:
-            return 0.0
-        b = _positive_root_bound(reverse(q))
-        if b is None:
-            return None
-        # a bound that underflowed to 0 puts the roots past the float range
-        return 1.0 / b if b > 0.0 else math.inf
-
-    pos_hi = _positive_root_bound(p)
-    pos_lo = lower_from_reverse(p)
-    neg = negate_arg(p)
-    neg_hi = _positive_root_bound(neg)
-    neg_lo = lower_from_reverse(neg)
-
-    pos_range = None if (pos_hi is None or pos_lo is None) else (pos_lo, pos_hi)
-    neg_range = None if (neg_hi is None or neg_lo is None) else (-neg_hi, -neg_lo)
-    return pos_range, neg_range
+    c = p.coeffs.tolist()
+    ranges = []
+    for q in (c, [-a if i % 2 else a for i, a in enumerate(c)]):
+        hi = _positive_root_bound(q)
+        # a zero constant term is a root at 0; the reversal's roots are the reciprocals
+        inv = math.inf if q[0] == 0 else _positive_root_bound(q[::-1])
+        ranges.append(None if hi is None or inv is None else (1.0 / inv, hi))
+    pos_range, neg_range = ranges
+    return pos_range, None if neg_range is None else (-neg_range[1], -neg_range[0])
 
 
 def _clip_to_ranges(candidates, pos_range, neg_range):

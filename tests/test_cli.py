@@ -69,6 +69,12 @@ class TestRadiiCommand:
         got = json.loads(capsys.readouterr().out)
         assert got["radii"] == [0.0, 0.0, 0.0]
 
+    def test_radius_past_float_range_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "far.txt"
+        path.write_text("1e300\n1e-300\n")  # root -1e600
+        assert main(["radii", str(path)]) == 3
+        assert "outside the float range" in capsys.readouterr().err
+
     def test_parse_error_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
         path.write_text("not a number\n")

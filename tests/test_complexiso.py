@@ -7,11 +7,12 @@ import pytest
 import rootradii as rr
 from rootradii.complexiso import (
     SEPARATION_CONSTANT,
+    ComplexInclusion,
     disambiguate_with_third,
     grid_from_two_families,
     shifted_families,
 )
-from rootradii.poly import Polynomial, root_radius_upper_bound
+from rootradii.poly import Polynomial, PrecisionLossError, root_radius_upper_bound
 
 SQRT2 = math.sqrt(2.0)
 
@@ -203,6 +204,25 @@ class TestIsolateComplexRoots:
         assert len(res.inclusions) == 1
         assert res.inclusions[0].multiplicity == 2
         assert abs(res.inclusions[0].disc_center - 1.0) <= 1e-3 * SQRT2
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_pure_power_exact_root(self, n):
+        res = rr.isolate_complex_roots(Polynomial([0.0] * n + [1.0]), 1e-3, 0.05, 0)
+        assert res.inclusions == (ComplexInclusion(0j, 0.0, n, 0.0),)
+        assert res.unresolved == ()
+
+    def test_tiny_roots_found_or_raise(self):
+        # roots +-i*s: below s ~ 1e-160 the grid's squared lengths leave the normal range
+        s = 1e-150
+        res = rr.isolate_complex_roots(Polynomial([s, 0.0, 1.0 / s]), 1e-3, 0.05, 0)
+        assert len(res.inclusions) == 2
+        for want in (1j * s, -1j * s):
+            assert any(abs(i.disc_center - want) <= i.disc_radius for i in res.inclusions)
+        # the last polynomial's root, -1e-600, is past the float range: its
+        # bound must not be the 0 of a pure power
+        for coeffs in ([1e-162, 0.0, 1e162], [1e-170, 0.0, 1e170], [1e-300, 1e300]):
+            with pytest.raises(PrecisionLossError, match="too close to 0"):
+                rr.isolate_complex_roots(Polynomial(coeffs), 1e-3, 0.05, 0)
 
     def test_deterministic_under_seed(self, sect5):
         a = rr.isolate_complex_roots(sect5, rho=1e-3, eps=0.05, seed=42)

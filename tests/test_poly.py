@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -211,6 +212,16 @@ class TestRootRadiusUpperBound:
             n = p.degree
             assert 0.5 * bound / n <= r1 * (1 + 1e-9)
             assert r1 <= bound * (1 + 1e-9)
+
+    def test_binomials_past_float_range(self):
+        # a + b*x**n has |x| = |a/b|**(1/n); a/b itself may leave the float range
+        for a, b, n in [(1e-300, 1e300, 2), (1e300, 1e-300, 2), (1.0, 1e-300, 4), (1e-300, 1.0, 4)]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                bound = rr.root_radius_upper_bound(Polynomial([a] + [0.0] * (n - 1) + [b]))
+            log2_x = (math.log2(a) - math.log2(b)) / n
+            assert math.log2(0.5 * bound / n) <= log2_x + 1e-9
+            assert log2_x <= math.log2(bound) + 1e-9
 
 
 class TestCoefficientFiles:

@@ -147,6 +147,13 @@ class TestRefinedRadii:
         true = math.sqrt(abs(c0)) / math.sqrt(c2)
         assert np.all(np.abs(est.radii / true - 1.0) <= est.rel_factor - 1.0 + 1e-12)
 
+    @pytest.mark.parametrize("coeffs", [[1e300, 1e-300], [1e-300, 1e300]])
+    @pytest.mark.parametrize("estimate", [rr.newton_polygon_radii, lambda p: rr.refined_radii(p, 1e-3)])
+    def test_radius_past_float_range_raises(self, coeffs, estimate):
+        # the roots -1e600 and -1e-600 have no float radius
+        with pytest.raises(PrecisionLossError, match="outside the float range"):
+            estimate(Polynomial(coeffs))
+
     def test_extreme_coefficient_magnitudes(self):
         p = Polynomial([1e-30, 1e10, -3.5e-20, 2e25])
         rs = rr.all_roots_oracle(p)

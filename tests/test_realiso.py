@@ -35,6 +35,11 @@ class TestCandidateIntervals:
     def test_sect5_computed_radii_give_twelve(self, sect5):
         assert len(sect5_candidates(sect5)) == 12
 
+    def test_nearly_equal_radii_kept_apart(self):
+        # only equal intervals are kept once; these differ in the 13th digit
+        est = RadiiEstimate(np.array([1.0 + 1e-13, 1.0]), 1.01, 0)
+        assert len(rr.candidate_intervals(est)) == 4
+
     def test_zero_radius_degenerate(self):
         est = RadiiEstimate(np.array([1.0, 0.0]), 1.01, 0)
         ivs = rr.candidate_intervals(est)
@@ -62,6 +67,15 @@ class TestSelectSignChange:
         assert len(selected) == 2
         assert any(iv.lo <= -1.0 <= iv.hi for iv in selected)
         assert any(iv.lo <= 1.0 <= iv.hi for iv in selected)
+
+    def test_roots_below_1e_12_bracketed(self):
+        # x**2 - 1e-22: every candidate is about 1e-14 wide
+        p = Polynomial([-1e-22, 0.0, 1.0])
+        selected = rr.select_sign_change_intervals(
+            p, rr.candidate_intervals(rr.refined_radii(p, 0.001))
+        )
+        for root in (1e-11, -1e-11):
+            assert any(iv.status == "sign_change" and iv.lo <= root <= iv.hi for iv in selected)
 
     def test_pm_one_computed_radii_all_bracket_roots(self):
         # the doubled radius splits into two estimates, so each root may be
