@@ -48,11 +48,7 @@ def cmd_radii(args):
 
 def cmd_isolate_real(args):
     p = read_coefficients(args.input)
-    cfg = IsolatorConfig(
-        precision_bits=args.bits,
-        work_budget=args.budget,
-        max_retries=args.retries,
-    )
+    cfg = IsolatorConfig(precision_bits=args.bits, work_budget=args.budget)
     result = isolate_real_roots(p, cfg)
     print(
         json.dumps(
@@ -149,7 +145,6 @@ def build_parser():
     ir.add_argument("input")
     ir.add_argument("--bits", type=int, default=27)
     ir.add_argument("--budget", type=int, default=4096)
-    ir.add_argument("--retries", type=int, default=2)
     ir.set_defaults(func=cmd_isolate_real)
 
     ic = sub.add_parser("isolate-complex", help="isolate complex roots (randomized)")

@@ -144,6 +144,10 @@ def shifted_families(p: Polynomial, rho: float, eta: float = 100.0, phi: float =
     r1p = root_radius_upper_bound(p)
     a = eta * r1p
     target = rho / ((r1p + 1.0) * eta)
+    if not (a < math.inf and target > 0.0):
+        raise PrecisionLossError(
+            f"root bound {r1p:.3e} puts the shift centers or the target error outside the float range"
+        )
     centers = (
         complex(-a, 0.0),
         complex(0.0, -a),

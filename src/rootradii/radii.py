@@ -160,10 +160,10 @@ def _agree(a, b):
     )
 
 
-def _radii(p, target_rel_error, coeffs, rep):
+def _radii(p, target_rel_error, cs, rep):
     """The radii procedure behind every entry point.
 
-    ``coeffs()`` returns the ascending coefficient arrays of the polynomial
+    ``cs`` holds the ascending coefficient arrays of the polynomial
     whose root radii are wanted (``p`` itself, or ``p`` shifted to a center);
     a root at the center is an index where every array is zero.  ``rep`` is
     the squaring representation.  With ``target_rel_error=None`` nothing is
@@ -174,7 +174,6 @@ def _radii(p, target_rel_error, coeffs, rep):
     n = p.degree
     if n == 0:
         return RadiiEstimate(np.empty(0), 1.0, 0)
-    cs = coeffs()
     nzero = 0
     while nzero < n and all(c[nzero] == 0 for c in cs):
         nzero += 1
@@ -205,7 +204,7 @@ def newton_polygon_radii(p: Polynomial) -> RadiiEstimate:
     Roots at the origin (vanishing low-order coefficients) are reported as
     exact zero radii.
     """
-    return _radii(p, None, lambda: (p.coeffs,), _FLOAT)
+    return _radii(p, None, (p.coeffs,), _FLOAT)
 
 
 def refined_radii(p: Polynomial, target_rel_error: float) -> RadiiEstimate:
@@ -214,7 +213,7 @@ def refined_radii(p: Polynomial, target_rel_error: float) -> RadiiEstimate:
     If precision degrades before the planned squaring count, the estimate from
     the last healthy iteration is returned with its honestly larger factor.
     """
-    return _radii(p, target_rel_error, lambda: (p.coeffs,), _FLOAT)
+    return _radii(p, target_rel_error, (p.coeffs,), _FLOAT)
 
 
 def distances_from_point(p: Polynomial, z, target_rel_error: float) -> RadiiEstimate:
@@ -239,7 +238,7 @@ def distances_from_point(p: Polynomial, z, target_rel_error: float) -> RadiiEsti
     re, im, _ = _dd.taylor_shift_dd(p.coeffs, z)
     P, est = max(64, 16 * p.degree), None
     while P <= _MAX_BITS:
-        nxt = _radii(p, target_rel_error, lambda: (re, im), _int_representation(P))
+        nxt = _radii(p, target_rel_error, (re, im), _int_representation(P))
         if est is not None and _agree(est, nxt):
             return nxt
         P, est = 2 * P, nxt

@@ -39,8 +39,8 @@ __all__ = [
 ]
 
 _DERIV_FLOOR = 1e-300
-# radii tolerance of the first pass; each retry divides it by ten
-_FIRST_PASS_TARGET = 0.001
+# relative error of the root radii behind the candidate intervals
+_RADII_TARGET = 0.001
 
 
 @dataclass(frozen=True)
@@ -48,15 +48,14 @@ class IsolatorConfig:
     """Tuning knobs for the isolation pipeline; every refined root is returned.
 
     ``precision_bits``, from 1 to 52, sets the target relative error
-    ``1/2**precision_bits`` of refined roots; ``work_budget`` caps the total
+    ``1/2**precision_bits`` of refined roots.  ``work_budget`` is the
     refinement effort, counted in polynomial evaluations (a Newton step costs
-    two, a bisection one); ``max_retries`` caps the retries, each of which
-    re-runs the radii at a ten-fold smaller tolerance where suspects remain.
+    two, a bisection one), shared evenly by the sign-change intervals.  Each
+    interval gets at least 8, so it is not a hard cap on the total.
     """
 
     precision_bits: int = 27
     work_budget: int = 4096
-    max_retries: int = 2
 
     def __post_init__(self):
         # past the float64 mantissa the refinement's stop test cannot be met
@@ -64,8 +63,6 @@ class IsolatorConfig:
             raise ValueError("precision_bits must be in [1, 52]")
         if self.work_budget <= 0:
             raise ValueError("work_budget must be positive")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -178,7 +175,8 @@ def select_sign_change_intervals(p: Polynomial, candidates):
 def _refine(p: Polynomial, iv: IsolationInterval, cfg: IsolatorConfig, budget: int):
     """Bracketed Newton refinement of one sign-change interval.
 
-    Returns (RealRoot | suspect IsolationInterval, evals, newton_steps, rounds).
+    Returns (RealRoot | suspect IsolationInterval, newton_steps, rounds).
+    Raises ValueError unless the endpoint values differ in sign or one is 0.
     """
     c = np.asarray(p.coeffs, dtype=np.float64)
     tol_bits = 2.0**-cfg.precision_bits
@@ -190,18 +188,16 @@ def _refine(p: Polynomial, iv: IsolationInterval, cfg: IsolatorConfig, budget: i
         v, _ = _kernels.horner_pair(c, float(x))
         return root(x, width, abs(v))
 
-    if iv.lo == iv.hi:
-        return converged(iv.lo, 0.0), 1, 0, 0
-
     lo, hi = iv.lo, iv.hi
-    evals = 0
     flo, _ = _kernels.horner_pair(c, lo)
     fhi, _ = _kernels.horner_pair(c, hi)
-    evals += 2
+    evals = 2
     if flo == 0.0:
-        return root(lo), evals, 0, 0
+        return root(lo), 0, 0
     if fhi == 0.0:
-        return root(hi), evals, 0, 0
+        return root(hi), 0, 0
+    if not (flo < 0.0 < fhi or fhi < 0.0 < flo):
+        raise ValueError(f"p has no sign change on [{lo!r}, {hi!r}]")
     slo = math.copysign(1.0, flo)
 
     y = 0.5 * (lo + hi)
@@ -215,7 +211,7 @@ def _refine(p: Polynomial, iv: IsolationInterval, cfg: IsolatorConfig, budget: i
             evals += 2
             steps += 1
             if f == 0.0:
-                return root(y), evals, steps, rounds
+                return root(y), steps, rounds
             if math.copysign(1.0, f) == slo:
                 lo = y
             else:
@@ -228,7 +224,7 @@ def _refine(p: Polynomial, iv: IsolationInterval, cfg: IsolatorConfig, budget: i
                 need_bisect = True
                 break
             if abs(y_next - y) < tol_bits * max(1.0, abs(y_next)):
-                return converged(y_next, 2.0 * abs(y_next - y)), evals + 1, steps + 1, rounds
+                return converged(y_next, 2.0 * abs(y_next - y)), steps + 1, rounds
             y = y_next
         if not need_bisect and evals >= budget:
             break
@@ -237,15 +233,15 @@ def _refine(p: Polynomial, iv: IsolationInterval, cfg: IsolatorConfig, budget: i
         fm, _ = _kernels.horner_pair(c, m)
         evals += 1
         if fm == 0.0:
-            return root(m), evals, steps, rounds
+            return root(m), steps, rounds
         if math.copysign(1.0, fm) == slo:
             lo = m
         else:
             hi = m
         y = 0.5 * (lo + hi)
         if hi - lo < tol_bits * max(1.0, abs(y)):
-            return converged(y, hi - lo), evals + 1, steps, rounds
-    return IsolationInterval(lo, hi, "suspect_ill_conditioned"), evals, steps, rounds
+            return converged(y, hi - lo), steps, rounds
+    return IsolationInterval(lo, hi, "suspect_ill_conditioned"), steps, rounds
 
 
 def refine_interval(p: Polynomial, iv: IsolationInterval, cfg: IsolatorConfig = None):
@@ -254,11 +250,12 @@ def refine_interval(p: Polynomial, iv: IsolationInterval, cfg: IsolatorConfig = 
     Stops when successive iterates differ by less than
     ``2**-precision_bits * max(1, |y|)``; if the evaluation budget runs out
     first, the (shrunken) interval comes back with status
-    ``suspect_ill_conditioned``.
+    ``suspect_ill_conditioned``.  Raises ValueError unless the values at the
+    endpoints differ in sign or one of them is 0.
     """
     _require_real(p)
     cfg = cfg or IsolatorConfig()
-    result, _, _, _ = _refine(p, iv, cfg, cfg.work_budget)
+    result, _, _ = _refine(p, iv, cfg, cfg.work_budget)
     return result
 
 
@@ -329,11 +326,13 @@ def _dedup_roots(roots, bits):
 
 
 def isolate_real_roots(p: Polynomial, cfg: IsolatorConfig = None) -> RealIsolationResult:
-    """All three stages, with adaptive retries on suspect intervals.
+    """All three stages, run once.
 
-    If the first pass leaves suspects and retries remain, the radii are
-    recomputed at a ten-fold smaller tolerance and only candidates meeting the
-    suspect regions are re-refined.  Converged roots agreeing within
+    The radii are estimated within ``1 + 1e-3``, the candidates clipped to
+    the root ranges are sign-tested once, and each sign-change interval is
+    refined with an even share of ``work_budget`` (at least 8 evaluations).
+    Suspects are the candidates whose sign test overflowed and the intervals
+    whose refinement ran out of budget.  Converged roots agreeing within
     ``2**(1-b)`` relative are merged.
     """
     cfg = cfg or IsolatorConfig()
@@ -344,44 +343,20 @@ def isolate_real_roots(p: Polynomial, cfg: IsolatorConfig = None) -> RealIsolati
     if p.degree == 0:
         return RealIsolationResult((), (), stats)
 
-    target = _FIRST_PASS_TARGET
     pos_range, neg_range = narrow_root_ranges(p)
-
-    roots = []
-    suspects = []
-    budget_left = cfg.work_budget
-    for attempt in range(1 + cfg.max_retries):
-        est = refined_radii(p, target)
-        if attempt == 0:
-            stats["squarings"] = est.squarings_used
-        cands = _clip_to_ranges(candidate_intervals(est), pos_range, neg_range)
-        if attempt > 0:
-            # retry where the last pass left suspects: budget ran out or the sign test overflowed
-            cands = [
-                iv
-                for iv in cands
-                if any(iv.lo <= s.hi and s.lo <= iv.hi for s in suspects)
-            ]
-            if not cands:
-                break
-        selected, zeros, overflow_suspects, nevals = _select(p, cands)
-        stats["sign_evals"] += nevals
-        suspects = list(overflow_suspects)
-        for z in zeros:
-            roots.append(RealRoot(float(z.lo), 0.0, 0.0, z))
-        if selected:
-            per_budget = max(8, math.ceil(budget_left / len(selected)))
-            for iv in selected:
-                got, evals, steps, rounds = _refine(p, iv, cfg, per_budget)
-                budget_left = max(1, budget_left - evals)
-                stats["newton_steps"] += steps
-                stats["max_newton_rounds"] = max(stats["max_newton_rounds"], rounds)
-                if isinstance(got, RealRoot):
-                    roots.append(got)
-                else:
-                    suspects.append(got)
-        if not suspects:
-            break
-        target /= 10.0
+    est = refined_radii(p, _RADII_TARGET)
+    cands = _clip_to_ranges(candidate_intervals(est), pos_range, neg_range)
+    selected, zeros, suspects, nevals = _select(p, cands)
+    stats.update(squarings=est.squarings_used, sign_evals=nevals)
+    roots = [RealRoot(float(z.lo), 0.0, 0.0, z) for z in zeros]
+    per_budget = max(8, math.ceil(cfg.work_budget / max(1, len(selected))))
+    for iv in selected:
+        got, steps, rounds = _refine(p, iv, cfg, per_budget)
+        stats["newton_steps"] += steps
+        stats["max_newton_rounds"] = max(stats["max_newton_rounds"], rounds)
+        if isinstance(got, RealRoot):
+            roots.append(got)
+        else:
+            suspects.append(got)
     roots = _dedup_roots(roots, cfg.precision_bits)
     return RealIsolationResult(tuple(roots), tuple(suspects), stats)

@@ -113,10 +113,6 @@ class TestIsolateRealCommand:
         assert main(["isolate-real", str(path)]) == 2
         assert capsys.readouterr().out == ""
 
-    def test_negative_retries_exit_2(self, sect5_file, capsys):
-        assert main(["isolate-real", sect5_file, "--retries", "-1"]) == 2
-        assert "max_retries" in capsys.readouterr().err
-
     def test_bits_past_mantissa_exit_2(self, sect5_file, capsys):
         assert main(["isolate-real", sect5_file, "--bits", "53"]) == 2
         captured = capsys.readouterr()
@@ -151,6 +147,14 @@ class TestIsolateComplexCommand:
         path.write_text("-1\n" + "0\n" * 512 + "1\n")
         assert main(["isolate-complex", str(path)]) == 3
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("text", ["1e300\n1e-300\n", "1\n5e-324\n"])
+    def test_root_bound_past_float_range_exit_3(self, tmp_path, capsys, text):
+        path = tmp_path / "far.txt"
+        path.write_text(text)
+        assert main(["isolate-complex", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "outside the float range" in captured.err
 
     @pytest.mark.parametrize("eta", ["0", "-5"])
     def test_nonpositive_eta_exit_2(self, sect5_file, capsys, eta):

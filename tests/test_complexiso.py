@@ -224,6 +224,12 @@ class TestIsolateComplexRoots:
             with pytest.raises(PrecisionLossError, match="too close to 0"):
                 rr.isolate_complex_roots(Polynomial(coeffs), 1e-3, 0.05, 0)
 
+    @pytest.mark.parametrize("coeffs", [[1e300, 1e-300], [1.0, 5e-324]])
+    def test_root_bound_past_float_range_raises(self, coeffs):
+        # the bound is inf: the shift centers cannot be formed
+        with pytest.raises(PrecisionLossError, match="outside the float range"):
+            rr.isolate_complex_roots(Polynomial(coeffs), 1e-3, 0.05, 0)
+
     def test_deterministic_under_seed(self, sect5):
         a = rr.isolate_complex_roots(sect5, rho=1e-3, eps=0.05, seed=42)
         b = rr.isolate_complex_roots(sect5, rho=1e-3, eps=0.05, seed=42)

@@ -106,9 +106,19 @@ class TestRefineInterval:
         cfg = IsolatorConfig()
         from rootradii.realiso import _refine
 
-        root, _, _, rounds = _refine(sect5, iv, cfg, cfg.work_budget)
+        root, _, rounds = _refine(sect5, iv, cfg, cfg.work_budget)
         assert abs(root.value - -1.65062919) < 1e-7
         assert rounds <= 3
+
+    @pytest.mark.parametrize(
+        "coeffs, lo, hi",
+        [([1.0, 0.0, 1.0], -1.0, 1.0), ([-1.0, 1.0], 2.0, 2.0)],
+        ids=["x2+1", "degenerate-off-root"],
+    )
+    def test_no_sign_change_rejected(self, coeffs, lo, hi):
+        # equal endpoint signs bracket no root, so any returned value would be wrong
+        with pytest.raises(ValueError, match="no sign change"):
+            rr.refine_interval(Polynomial(coeffs), IsolationInterval(lo, hi))
 
     def test_sqrt2_to_forty_bits(self):
         # oracle: plain interval bisection, independent of the Newton path
@@ -235,10 +245,6 @@ class TestIsolateRealRoots:
         with pytest.raises(ValueError, match="zero polynomial"):
             rr.isolate_real_roots(Polynomial([0.0, 0.0]))
 
-    def test_negative_retries_rejected(self):
-        with pytest.raises(ValueError, match="max_retries"):
-            IsolatorConfig(max_retries=-1)
-
     def test_precision_bits_past_mantissa_rejected(self):
         with pytest.raises(ValueError, match="precision_bits"):
             IsolatorConfig(precision_bits=53)
@@ -331,7 +337,7 @@ class TestIsolateRealRoots:
         # linearly; a starved budget must surface the interval as suspect
         # rather than silently dropping it
         c = np.convolve(np.convolve([-1.0, 1.0], [-1.0, 1.0]), [-1.0, 1.0])
-        cfg = IsolatorConfig(work_budget=16, precision_bits=40, max_retries=1)
+        cfg = IsolatorConfig(work_budget=16, precision_bits=40)
         res = rr.isolate_real_roots(Polynomial(c), cfg)
         assert len(res.suspects) >= 1
         # anything reported lies inside the double-precision noise band of the
@@ -340,6 +346,32 @@ class TestIsolateRealRoots:
             assert abs(r.value - 1.0) <= 1e-5
         for s in res.suspects:
             assert abs(0.5 * (s.lo + s.hi) - 1.0) <= 1e-3
+
+
+    def test_one_pass_covers_every_real_root(self, monkeypatch):
+        # real-family case b0-n512-r8-t1: the sign test overflows near 6.787,
+        # which no tighter radius cures, so the radii run once
+        from rootradii import realiso
+        from rootradii.bench import cell_seed
+        from rootradii.oracle import generate_family
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return rr.refined_radii(*args)
+
+        monkeypatch.setattr(realiso, "refined_radii", counted)
+        p = generate_family(1, 512, 8, cell_seed(0, 512, 8, 1))
+        res = rr.isolate_real_roots(p)
+        assert len(calls) == 1
+        got = np.array([r.value for r in res.roots])
+        ref = np.roots(p.coeffs[::-1])
+        ref = ref[np.abs(ref.imag) <= 1e-7 * np.maximum(1.0, np.abs(ref))].real
+        assert len(ref) == 12
+        for x in ref:
+            near = len(got) and np.abs(got - x).min() <= 2.0**-26 * abs(x)
+            assert near or any(s.lo <= x <= s.hi for s in res.suspects), x
 
 
 class TestFuzzAgainstOracle:
