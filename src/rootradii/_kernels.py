@@ -6,6 +6,11 @@ of the float radii engine, and ``mantexp`` splits coefficients into its
 representation.  Callers look these names up on the module at call time, so a
 wrapper installed on the module (for tracing) sees every call.
 
+Per-item loops run on Python scalars: ``horner_pair`` gets a list of Python
+numbers on the real path and in ``poly.evaluate`` (the same bits as numpy, and
+overflow to inf raises no warning), but an ndarray in the complex Newton
+polish, where Python's complex division rounds differently from numpy's.
+
 Polynomial coefficients are ascending-degree throughout.  The Graeffe kernel
 works on a split (mantissa, exponent) representation, ``c_i = m_i * 2**e_i``
 with ``|m_i| in [1, 2)`` or ``m_i == 0``, so that thousands of effective
@@ -29,7 +34,7 @@ def horner_points(coeffs, xs):
 
 
 def horner_pair(coeffs, x):
-    """Value and first derivative at ``x`` in one pass."""
+    """Value and first derivative at ``x`` in one pass, on a list or an ndarray ``coeffs``."""
     b = coeffs[-1]
     d = b * 0
     for c in coeffs[-2::-1]:

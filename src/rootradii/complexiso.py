@@ -110,8 +110,7 @@ def _merge_chains(radii, rel_factor, center):
     annuli = []
     cur_inner = cur_outer = None
     cur_mult = 0
-    for r in radii:  # non-increasing, so each interval sits at or below the chain
-        r = float(r)
+    for r in radii.tolist():  # non-increasing: each interval sits at or below the chain
         inner = r / rel_factor
         outer = r * rel_factor
         if cur_mult and outer >= cur_inner:

@@ -80,12 +80,9 @@ class Polynomial:
 def evaluate(p: Polynomial, z) -> complex:
     """Evaluate ``p`` at ``z`` by Horner's rule.
 
-    Raises OverflowError, with no numpy warning first, when the value or an
-    intermediate Horner sum leaves the float64 range.
+    Raises OverflowError when the value or a Horner partial sum leaves the float64 range.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        v, _ = _kernels.horner_pair(np.asarray(p.coeffs, dtype=np.complex128), complex(z))
-    out = complex(v)
+    out, _ = _kernels.horner_pair(np.asarray(p.coeffs, dtype=np.complex128).tolist(), complex(z))
     if not (math.isfinite(out.real) and math.isfinite(out.imag)):
         raise OverflowError("evaluation overflowed the floating-point range")
     return out

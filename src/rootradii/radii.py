@@ -70,14 +70,10 @@ def _hull_radii(m, e, k):
     constant and leading coefficients; raises PrecisionLossError when a radius
     overflows or underflows to 0.
     """
-    xs = []
-    es = []
-    gs = []
-    for i in range(len(m)):
-        if m[i] != 0:
-            xs.append(i)
-            es.append(int(e[i]))
-            gs.append(math.log2(abs(m[i])))
+    ms, es = m.tolist(), np.asarray(e).tolist()
+    xs = [i for i, mi in enumerate(ms) if mi != 0]
+    es = [es[i] for i in xs]
+    gs = [math.log2(abs(ms[i])) for i in xs]
 
     def ydiff(a, b):
         return float(es[b] - es[a]) + (gs[b] - gs[a])

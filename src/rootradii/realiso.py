@@ -9,9 +9,9 @@ The three stages:
 2. the polynomial's sign is computed once per distinct interval endpoint and
    every candidate whose endpoint signs differ is selected (an odd number of
    roots lies inside such an interval);
-3. each selected interval is refined by Newton iterations from its midpoint,
-   in rounds of three, falling back to one bisection step (keeping the half
-   with the sign change) whenever an iterate escapes the bracket.
+3. each selected interval is refined in rounds of up to three Newton steps
+   from the bracket's midpoint, cut short when an iterate leaves the bracket
+   or the derivative is tiny or not finite, each round ending in a bisection.
 
 Only simple, well-isolated real roots are found this way: an even-multiplicity
 root never produces a sign change and is invisible by design.
@@ -133,9 +133,10 @@ def _select(p: Polynomial, candidates):
         return [], [], [], 0
     xs, ends = _distinct_endpoints(candidates)
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = _kernels.horner_points(np.asarray(p.coeffs, dtype=np.float64), xs)
-    finite = np.isfinite(vals)
-    signs = np.sign(vals)
+        vals = _kernels.horner_points(p.coeffs, xs)
+    finite = np.isfinite(vals).tolist()
+    signs = np.sign(vals).tolist()
+    xs = xs.tolist()
 
     selected = []
     zeros = []
@@ -149,7 +150,7 @@ def _select(p: Polynomial, candidates):
         for idx in (i_lo, i_hi):
             if signs[idx] == 0.0 and idx not in seen_zero:
                 seen_zero.add(idx)
-                zeros.append(IsolationInterval(float(xs[idx]), float(xs[idx]), "refined"))
+                zeros.append(IsolationInterval(xs[idx], xs[idx], "refined"))
                 hit = True
         if hit:
             continue
@@ -171,24 +172,23 @@ def select_sign_change_intervals(p: Polynomial, candidates):
     return selected + zeros + suspects
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _refine(p: Polynomial, iv: IsolationInterval, cfg: IsolatorConfig, budget: int):
     """Bracketed Newton refinement of one sign-change interval.
 
     Returns (RealRoot | suspect IsolationInterval, newton_steps, rounds).
     Raises ValueError unless the endpoint values differ in sign or one is 0.
     """
-    c = np.asarray(p.coeffs, dtype=np.float64)
+    c = p.coeffs.tolist()
     tol_bits = 2.0**-cfg.precision_bits
 
     def root(x, width=0.0, res=0.0):
-        return RealRoot(float(x), float(width), float(res), iv)
+        return RealRoot(x, width, res, iv)
 
     def converged(x, width):  # one more evaluation, for the residual
-        v, _ = _kernels.horner_pair(c, float(x))
+        v, _ = _kernels.horner_pair(c, x)
         return root(x, width, abs(v))
 
-    lo, hi = iv.lo, iv.hi
+    lo, hi = float(iv.lo), float(iv.hi)
     flo, _ = _kernels.horner_pair(c, lo)
     fhi, _ = _kernels.horner_pair(c, hi)
     evals = 2
@@ -205,7 +205,6 @@ def _refine(p: Polynomial, iv: IsolationInterval, cfg: IsolatorConfig, budget: i
     rounds = 0
     while evals < budget:
         rounds += 1
-        need_bisect = False
         for _ in range(3):
             f, df = _kernels.horner_pair(c, y)
             evals += 2
@@ -217,17 +216,16 @@ def _refine(p: Polynomial, iv: IsolationInterval, cfg: IsolatorConfig, budget: i
             else:
                 hi = y
             if not _DERIV_FLOOR <= abs(df) < math.inf:  # tiny, overflowed or nan
-                need_bisect = True
                 break
             y_next = y - f / df
             if not (lo <= y_next <= hi):
-                need_bisect = True
                 break
             if abs(y_next - y) < tol_bits * max(1.0, abs(y_next)):
                 return converged(y_next, 2.0 * abs(y_next - y)), steps + 1, rounds
             y = y_next
-        if not need_bisect and evals >= budget:
-            break
+        else:  # three steps stayed in the bracket
+            if evals >= budget:
+                break
         # one bisection step, keep the half with the sign change
         m = 0.5 * (lo + hi)
         fm, _ = _kernels.horner_pair(c, m)
@@ -245,9 +243,11 @@ def _refine(p: Polynomial, iv: IsolationInterval, cfg: IsolatorConfig, budget: i
 
 
 def refine_interval(p: Polynomial, iv: IsolationInterval, cfg: IsolatorConfig = None):
-    """Stage 3 for one interval: Newton in rounds of three, guarded by bisection.
+    """Stage 3 for one interval: Newton in rounds of three, each ending in a bisection.
 
-    Stops when successive iterates differ by less than
+    A round's Newton steps start at the bracket's midpoint and end early when
+    an iterate leaves the bracket or the derivative is tiny or not finite.
+    Stops when successive iterates, or the bracket's ends, differ by less than
     ``2**-precision_bits * max(1, |y|)``; if the evaluation budget runs out
     first, the (shrunken) interval comes back with status
     ``suspect_ill_conditioned``.  Raises ValueError unless the values at the
@@ -348,7 +348,7 @@ def isolate_real_roots(p: Polynomial, cfg: IsolatorConfig = None) -> RealIsolati
     cands = _clip_to_ranges(candidate_intervals(est), pos_range, neg_range)
     selected, zeros, suspects, nevals = _select(p, cands)
     stats.update(squarings=est.squarings_used, sign_evals=nevals)
-    roots = [RealRoot(float(z.lo), 0.0, 0.0, z) for z in zeros]
+    roots = [RealRoot(z.lo, 0.0, 0.0, z) for z in zeros]
     per_budget = max(8, math.ceil(cfg.work_budget / max(1, len(selected))))
     for iv in selected:
         got, steps, rounds = _refine(p, iv, cfg, per_budget)

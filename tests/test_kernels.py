@@ -93,6 +93,45 @@ class TestHornerParity:
                 assert abs(Fraction(v) - val) <= gamma(2 * n) * vsum, (n, x)
                 assert abs(Fraction(d) - der) <= gamma(2 * n) * dsum, (n, x)
 
+    @staticmethod
+    def bits(v):
+        # float.hex per part; every nan reads 'nan', so nan equals nan
+        return float(v.real).hex(), float(v.imag).hex()
+
+    def assert_list_matches_array(self, c, x):
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _kernels.horner_pair(c, x)
+        got = _kernels.horner_pair(c.tolist(), x)
+        assert [self.bits(v) for v in got] == [self.bits(v) for v in want], (len(c) - 1, x)
+        return got
+
+    def test_pair_list_and_array_agree_bitwise(self):
+        # the real path and poly.evaluate pass Python lists, the complex polish
+        # ndarrays; overflow must come out the same too, as inf or nan
+        rng = np.random.default_rng(4)
+        overflows = 0
+        for n in range(1, 601):
+            c = rng.standard_normal(n + 1) * 2.0 ** rng.integers(-200, 201, n + 1).astype(float)
+            x = float(rng.choice([-1.0, 1.0]) * 2.0 ** rng.uniform(-40, 40))
+            v, d = self.assert_list_matches_array(c, x)
+            assert type(v) is type(d) is float
+            overflows += math.isinf(v)
+        assert overflows > 100
+        # x**39 * (x - 2**40) just below its root: value and x * derivative
+        # overflow with opposite signs, so the derivative's next sum is inf - inf
+        c = np.zeros(41)
+        c[-2:] = [-(2.0**40), 1.0]
+        v, d = self.assert_list_matches_array(c, 2.0**40 - 2.0**20)
+        assert v == -math.inf and math.isnan(d)
+
+    def test_pair_list_and_array_agree_bitwise_complex(self):
+        rng = np.random.default_rng(5)
+        for n in range(1, 121):
+            scale = 2.0 ** rng.integers(-200, 201, n + 1).astype(float)
+            c = (rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)) * scale
+            x = complex(*(rng.standard_normal(2) * 2.0 ** rng.uniform(-40, 40, 2)))
+            self.assert_list_matches_array(c, x)
+
 
 def exact_shift(c, z):
     """Exact coefficients of ``p(x + z)`` by repeated synthetic division."""

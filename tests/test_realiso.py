@@ -325,6 +325,17 @@ class TestIsolateRealRoots:
         assert [r.value for r in roots[-2:]] == [1.0, 1.0]
         for r in roots:
             assert type(r.value) is type(r.width) is type(r.residual) is float, r
+        # suspects of a starved refinement, whose endpoints are Newton iterates
+        triple = Polynomial([-1.0, 3.0, -3.0, 1.0])
+        cfg = IsolatorConfig(work_budget=16, precision_bits=40)
+        suspects = list(rr.isolate_real_roots(triple, cfg).suspects)
+        assert len(suspects) == 3
+        x2_minus_2 = Polynomial([-2.0, 0.0, 1.0])
+        starved = IsolatorConfig(work_budget=4)
+        suspects.append(rr.refine_interval(x2_minus_2, IsolationInterval(1.0, 2.0), starved))
+        for s in suspects:
+            assert s.status == "suspect_ill_conditioned"
+            assert type(s.lo) is type(s.hi) is float, s
 
     def test_tiny_leading_coefficient(self):
         res = rr.isolate_real_roots(Polynomial([1.0, 1.0, 1e-8]))
