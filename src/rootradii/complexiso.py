@@ -2,13 +2,15 @@
 
 Distances from a point far outside the root disc to all roots are computable
 (they are the root radii of the shifted polynomial), and each distance pins a
-root to a thin annulus.  Two families of annuli, shifted far along the real
-and imaginary axes, cross inside the root disc in near-square nodes: every
-root sits in a node, but so do spurious "ghost" crossings.  A third family at
-a random direction confirms a node when one of its annuli meets that node and
-no other; ghosts are confirmed by nobody and are dropped.  The direction is
-drawn uniformly from [pi/8, 3pi/8], which bounds the confusion probability for
-well-separated nodes.
+root to a thin annulus.  A family's annuli all share its shift center.  Two
+families, shifted far along the real and imaginary axes, cross inside the
+root disc in near-square nodes: mid-circles of radii s1, s2 whose centers lie
+d apart meet at height h over the line of centers, at the closed-form angle
+sin(alpha) = d*h / (s1*s2).  Every root sits in a node, but so do spurious
+"ghost" crossings.  A third family at a random direction confirms a node when
+one of its annuli meets that node and no other; ghosts are confirmed by nobody
+and are dropped.  The direction is drawn uniformly from [pi/8, 3pi/8], which
+bounds the confusion probability for well-separated nodes.
 """
 
 import cmath
@@ -42,7 +44,6 @@ SEPARATION_CONSTANT = 22.63
 
 @dataclass(frozen=True)
 class Annulus:
-    center: complex
     inner: float
     outer: float
     multiplicity: int = 1
@@ -101,7 +102,7 @@ class ComplexIsolationResult:
     stats: dict = field(default_factory=dict)
 
 
-def _merge_chains(radii, rel_factor, center):
+def _merge_chains(radii, rel_factor):
     """Collapse chains of pairwise-overlapping radius intervals into one annulus.
 
     Coinciding intervals arise from multiple roots, near-coinciding ones from
@@ -118,10 +119,10 @@ def _merge_chains(radii, rel_factor, center):
             cur_mult += 1
         else:
             if cur_mult:
-                annuli.append(Annulus(center, cur_inner, cur_outer, cur_mult))
+                annuli.append(Annulus(cur_inner, cur_outer, cur_mult))
             cur_inner, cur_outer, cur_mult = inner, outer, 1
     if cur_mult:
-        annuli.append(Annulus(center, cur_inner, cur_outer, cur_mult))
+        annuli.append(Annulus(cur_inner, cur_outer, cur_mult))
     return annuli
 
 
@@ -161,72 +162,53 @@ def shifted_families(p: Polynomial, rho: float, eta: float = 100.0, phi: float =
                 f"squaring lost precision; achievable tolerance {est.rel_factor - 1.0:.3e}"
                 f" vs requested {target:.3e}"
             )
-        annuli = _merge_chains(est.radii, est.rel_factor, z)
+        annuli = _merge_chains(est.radii, est.rel_factor)
         fams.append(AnnulusFamily(shift_center=z, annuli=tuple(annuli)))
     return fams[0], fams[1], fams[2]
-
-
-def _circle_intersections(z1, s1, z2, s2, slack):
-    """Intersection points of two circles, tolerating near-tangency up to slack."""
-    d = abs(z2 - z1)
-    if d == 0.0:
-        return []
-    if d > s1 + s2 + slack or d < abs(s1 - s2) - slack:
-        return []
-    u = (z2 - z1) / d
-    a = (d * d + s1 * s1 - s2 * s2) / (2.0 * d)
-    h2 = s1 * s1 - a * a
-    if h2 < 0.0:
-        if h2 < -slack * (s1 + s2):
-            return []
-        h = 0.0
-    else:
-        h = math.sqrt(h2)
-    base = z1 + a * u
-    off = h * complex(-u.imag, u.real)
-    if h == 0.0:
-        return [base]
-    return [base + off, base - off]
 
 
 def grid_from_two_families(f1: AnnulusFamily, f2: AnnulusFamily, r1_plus: float):
     """Stage 3: intersect annulus pairs from the two families inside D(0, r1+).
 
-    Each crossing of the two mid-circles that lands in the root disc becomes a
-    grid node; its half-width is derived from the annuli widths and the
-    crossing angle, and its multiplicity is the smaller of the two annulus
-    multiplicities.  Raises PrecisionLossError when the squared distance of
-    the shift centers from 0 falls below the normal float range.
+    A family's annuli share its shift center, so ``d = |z2 - z1|`` is taken
+    once.  Mid-circles of radii ``s1``, ``s2`` cross at height ``h`` over the
+    line of centers, at ``sin(alpha) = d*h / (s1*s2)``: a crossing in the root
+    disc is a node of half-diagonal ``mean width / sin(alpha)`` and of the
+    smaller multiplicity.  Raises PrecisionLossError if ``|z1|**2 < 2**-1022``.
     """
-    if abs(complex(f1.shift_center)) ** 2 < 2.0**-1022:
+    z1 = complex(f1.shift_center)
+    if abs(z1) ** 2 < 2.0**-1022:
         raise PrecisionLossError("roots too close to 0 for the grid's squared lengths")
+    diff = complex(f2.shift_center) - z1
+    d = abs(diff)
+    if d == 0.0:
+        return []
+    u = diff / d
     nodes = []
     for a1 in f1.annuli:
+        s1 = a1.mid_radius
         for a2 in f2.annuli:
+            s2 = a2.mid_radius
             slack = 0.5 * (a1.width + a2.width)
-            pts = _circle_intersections(
-                complex(a1.center), a1.mid_radius, complex(a2.center), a2.mid_radius, slack
-            )
-            for q in pts:
-                # crossing angle between the two radial directions
-                v1 = q - complex(a1.center)
-                v2 = q - complex(a2.center)
-                av1, av2 = abs(v1), abs(v2)
-                if av1 == 0.0 or av2 == 0.0:
-                    continue
-                cross = abs((v1 * v2.conjugate()).imag) / (av1 * av2)
-                sin_alpha = max(cross, 1e-6)
-                half_diag = 0.5 * (a1.width + a2.width) / sin_alpha
-                half_width = half_diag / math.sqrt(2.0)
-                if abs(q) > r1_plus + half_diag:
-                    continue
-                nodes.append(
-                    GridNode(
-                        center=q,
-                        half_width=half_width,
-                        multiplicity=min(a1.multiplicity, a2.multiplicity),
-                    )
-                )
+            if s1 * s2 == 0.0:
+                continue
+            # circles that miss by at most slack count as tangent: one node
+            if d > s1 + s2 + slack:
+                continue
+            if d < abs(s1 - s2) - slack:
+                continue
+            a = (d * d + s1 * s1 - s2 * s2) / (2.0 * d)
+            h2 = s1 * s1 - a * a
+            if h2 < -slack * (s1 + s2):
+                continue
+            h = math.sqrt(max(h2, 0.0))
+            base = z1 + a * u
+            off = h * complex(-u.imag, u.real)
+            half_diag = slack / max(d * h / (s1 * s2), 1e-6)
+            mult = min(a1.multiplicity, a2.multiplicity)
+            for q in [base] if h == 0.0 else [base + off, base - off]:
+                if abs(q) <= r1_plus + half_diag:
+                    nodes.append(GridNode(q, half_diag / math.sqrt(2.0), mult))
     return nodes
 
 
@@ -265,6 +247,10 @@ def theoretical_separation(n_nodes: int, rho: float, eps: float) -> float:
     """Node-center distance beyond which a random annulus confuses nodes w.p. <= eps."""
     if n_nodes < 1:
         raise ValueError("need at least one node")
+    if not 0.0 < rho < math.inf:
+        raise ValueError("rho must be positive and finite")
+    if not 0.0 < eps < 1.0:
+        raise ValueError("eps must lie in (0, 1)")
     return SEPARATION_CONSTANT * (n_nodes - 1) * rho / eps
 
 
@@ -275,10 +261,12 @@ def line_disc_intersection_prob(gamma: float, rho_prime: float, dist: float) -> 
     turn (pi/4 radians -> gamma = 1/8).  The bound may exceed 1; it is an
     upper estimate, not a sharp probability.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    if dist <= 0:
-        raise ValueError("dist must be positive")
+    if not 0.0 < gamma <= 1.0:
+        raise ValueError("gamma must lie in (0, 1]")
+    if not 0.0 <= rho_prime < math.inf:
+        raise ValueError("rho_prime must be finite and >= 0")
+    if not 0.0 < dist < math.inf:
+        raise ValueError("dist must be positive and finite")
     return (2.0 / gamma) * math.atan(rho_prime / dist)
 
 

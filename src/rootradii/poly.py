@@ -99,10 +99,12 @@ def derivative(p: Polynomial) -> Polynomial:
 def taylor_shift(p: Polynomial, z) -> Polynomial:
     """Return ``q`` with ``q(x) = p(x + z)``, by Horner's rule over polynomials.
 
-    Raises PrecisionLossError when a coefficient of the shift overflows the
-    float64 range.
+    Raises PrecisionLossError when ``z`` is not finite or a coefficient of the
+    shift overflows the float64 range.
     """
     z = complex(z)
+    if not np.isfinite(z):
+        raise PrecisionLossError(f"shift center {z} is not finite")
     c = np.asarray(p.coeffs, dtype=np.complex128)
     # out <- out*(x + z) + c_i, two vector ops per step; overflow to inf
     # is deliberate, the finiteness check below catches it

@@ -18,6 +18,7 @@ root never produces a sign change and is invisible by design.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +59,9 @@ class IsolatorConfig:
     work_budget: int = 4096
 
     def __post_init__(self):
+        for name in ("precision_bits", "work_budget"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
         # past the float64 mantissa the refinement's stop test cannot be met
         if not 1 <= self.precision_bits <= 52:
             raise ValueError("precision_bits must be in [1, 52]")

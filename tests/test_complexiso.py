@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -14,7 +15,58 @@ from rootradii.complexiso import (
 )
 from rootradii.poly import Polynomial, PrecisionLossError, root_radius_upper_bound
 
+from conftest import SECT5_COEFFS, random_complex_poly, random_real_poly
+
 SQRT2 = math.sqrt(2.0)
+
+
+def _grid_reference(f1, f2, r1_plus):
+    """The grid at 50 digits, with the crossing angle from the two radial vectors.
+
+    Each annulus pair's mid-circles are intersected as two general circles
+    (tangent when they miss by at most the mean width), and
+    ``sin(alpha) = |Im(v1 * conj(v2))| / (|v1| |v2|)`` with ``v1``, ``v2`` from
+    the shift centers to the crossing.  Returns (center, half_width,
+    multiplicity, sin_alpha) per node, in the grid's order.
+    """
+    with mpmath.workdps(50):
+        z1, z2 = mpmath.mpc(f1.shift_center), mpmath.mpc(f2.shift_center)
+        d = abs(z2 - z1)
+        u = (z2 - z1) / d
+        nodes = []
+        for a1 in f1.annuli:
+            for a2 in f2.annuli:
+                s1, s2 = mpmath.mpf(a1.mid_radius), mpmath.mpf(a2.mid_radius)
+                slack = (mpmath.mpf(a1.width) + mpmath.mpf(a2.width)) / 2
+                if d > s1 + s2 + slack or d < abs(s1 - s2) - slack:
+                    continue
+                a = (d * d + s1 * s1 - s2 * s2) / (2 * d)
+                h2 = s1 * s1 - a * a
+                if h2 < -slack * (s1 + s2):
+                    continue
+                h = mpmath.sqrt(max(h2, 0))
+                base = z1 + a * u
+                off = h * mpmath.mpc(-u.imag, u.real)
+                for q in [base] if h == 0 else [base + off, base - off]:
+                    v1, v2 = q - z1, q - z2
+                    sin_alpha = abs(mpmath.im(v1 * mpmath.conj(v2))) / (abs(v1) * abs(v2))
+                    half_diag = slack / max(sin_alpha, mpmath.mpf(1e-6))
+                    if abs(q) > r1_plus + half_diag:
+                        continue
+                    mult = min(a1.multiplicity, a2.multiplicity)
+                    nodes.append((q, half_diag / mpmath.sqrt(2), mult, sin_alpha))
+        return nodes
+
+
+def _grid_cases():
+    rng = np.random.default_rng(24)
+    return [
+        pytest.param(Polynomial(SECT5_COEFFS), id="worked7"),
+        pytest.param(Polynomial([-1.0, 0.0, 0.0, 0.0, 1.0]), id="x4-1"),
+        pytest.param(random_real_poly(rng, 7), id="real7"),
+        pytest.param(random_real_poly(rng, 11), id="real11"),
+        pytest.param(random_complex_poly(rng, 15), id="cplx15"),
+    ]
 
 
 class TestShiftedFamilies:
@@ -96,6 +148,21 @@ class TestGrid:
         nodes = grid_from_two_families(f1, f2, root_radius_upper_bound(sect5))
         assert len(nodes) <= 2 * sect5.degree**2
 
+    @pytest.mark.parametrize("p", _grid_cases())
+    def test_nodes_match_50_digit_geometry(self, p):
+        f1, f2, _ = shifted_families(p, 1e-3, phi=0.7)
+        r1p = root_radius_upper_bound(p)
+        nodes = grid_from_two_families(f1, f2, r1p)
+        want = _grid_reference(f1, f2, r1p)
+        assert len(nodes) == len(want) > 0
+        for node, (q, half_width, mult, sin_alpha) in zip(nodes, want):
+            assert node.multiplicity == mult
+            # the float crossing carries rounding of the shift distance 100*r1p,
+            # so a node near 0 is accurate relative to the root disc, not to |q|
+            assert abs(mpmath.mpc(node.center) - q) <= 1e-12 * r1p
+            if sin_alpha >= 1e-3:
+                assert abs(node.half_width - half_width) <= 1e-12 * half_width
+
 
 class TestDisambiguate:
     def test_degree_one_confirmed(self):
@@ -149,6 +216,23 @@ class TestSeparationFormulas:
     def test_two_nodes_value(self):
         assert math.isclose(rr.theoretical_separation(2, 1e-3, 0.05), 0.4526)
 
+    @pytest.mark.parametrize(
+        "rho, eps",
+        [
+            (1e-3, 0.0),
+            (1e-3, -0.05),
+            (1e-3, 1.0),
+            (1e-3, math.nan),
+            (0.0, 0.05),
+            (-1e-3, 0.05),
+            (math.inf, 0.05),
+            (math.nan, 0.05),
+        ],
+    )
+    def test_meaningless_inputs_rejected(self, rho, eps):
+        with pytest.raises(ValueError, match="rho must be positive|eps must lie"):
+            rr.theoretical_separation(3, rho, eps)
+
     def test_both_bounds_reported(self, sect5):
         res = rr.isolate_complex_roots(sect5, rho=1e-3, eps=0.05, seed=0)
         n = sect5.degree
@@ -157,6 +241,26 @@ class TestSeparationFormulas:
 
 
 class TestLineDiscProbability:
+    @pytest.mark.parametrize(
+        "gamma, rho_prime, dist",
+        [
+            (math.nan, 1.0, 1.0),
+            (1.5, 1.0, 1.0),
+            (0.125, -1.0, 1.0),
+            (0.125, math.nan, 1.0),
+            (0.125, math.inf, 1.0),
+            (0.125, 1.0, math.nan),
+            (0.125, 1.0, math.inf),
+        ],
+    )
+    def test_meaningless_inputs_rejected(self, gamma, rho_prime, dist):
+        with pytest.raises(ValueError, match="gamma|rho_prime|dist"):
+            rr.line_disc_intersection_prob(gamma, rho_prime, dist)
+
+    def test_range_ends_accepted(self):
+        assert rr.line_disc_intersection_prob(1.0, 0.0, 1.0) == 0.0
+        assert rr.line_disc_intersection_prob(1.0, 1.0, 1.0) == 2.0 * math.atan(1.0)
+
     def test_vanishes_with_distance(self):
         probs = [rr.line_disc_intersection_prob(0.125, 10.0**-k, 1.0) for k in range(1, 9)]
         assert all(a > b for a, b in zip(probs, probs[1:]))

@@ -95,6 +95,14 @@ class TestTaylorShift:
         with pytest.raises(rr.PrecisionLossError):
             rr.taylor_shift(p, 1e30)
 
+    @pytest.mark.parametrize("degree", [0, 2])
+    @pytest.mark.parametrize("z", [math.nan, math.inf, complex(0.0, math.inf)])
+    def test_non_finite_center_raises(self, degree, z):
+        # a constant used to come back unshifted, a nan center as an overflow
+        p = Polynomial([1.0, -2.0, 3.0][: degree + 1])
+        with pytest.raises(rr.PrecisionLossError, match="shift center .* is not finite"):
+            rr.taylor_shift(p, z)
+
 
 class TestReverseAndNegate:
     def test_reverse_simple(self):

@@ -249,6 +249,29 @@ class TestIsolateRealRoots:
         with pytest.raises(ValueError, match="precision_bits"):
             IsolatorConfig(precision_bits=53)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"work_budget": math.nan},
+            {"work_budget": math.inf},
+            {"work_budget": 0.5},
+            {"work_budget": 4096.0},
+            {"precision_bits": 27.5},
+            {"precision_bits": math.nan},
+        ],
+        ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()),
+    )
+    def test_non_integer_settings_rejected(self, kwargs):
+        # a nan or inf budget used to fail later, inside the refinement
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            IsolatorConfig(**kwargs)
+
+    def test_numpy_integer_settings_accepted(self):
+        cfg = IsolatorConfig(precision_bits=np.int64(30), work_budget=np.int32(512))
+        res = rr.isolate_real_roots(Polynomial([-2.0, 0.0, 1.0]), cfg)
+        assert len(res.roots) == 2
+
     def test_sqrt2_pair_at_52_bits(self):
         res = rr.isolate_real_roots(Polynomial([-2.0, 0.0, 1.0]), IsolatorConfig(precision_bits=52))
         assert res.suspects == ()
