@@ -1,4 +1,4 @@
-"""Exact Taylor shift and P-bit integer root squaring for distance queries.
+"""Exact Taylor shift and P-bit integer root squaring with error radii.
 
 Estimating the distances from a far point to tightly clustered roots needs
 the shifted polynomial's coefficients to more bits than a float64 holds: the
@@ -16,6 +16,14 @@ in integers at an explicit precision ``P``:
   int exponent per coefficient.  A squaring step sums the pair products of an
   output coefficient exactly and truncates once, toward minus infinity, to
   ``P + 1`` bits.
+- Each coefficient also carries a relative error radius ``rad``, in units of
+  ``2**-P``: the exact coefficient of the squared polynomial lies within
+  ``rad * 2**-P * |c|`` of ``c``, in the style of ball arithmetic (van der
+  Hoeven 2009; Johansson, *Arb*, IEEE TC 2017).  Every nonzero mantissa holds
+  exactly ``P + 1`` bits, so ``|M|`` lies in ``[2**P, sqrt(2) * 2**(P+1))``
+  and a narrowing floor adds at most ``sqrt(2) * 2**-P`` relative; widening
+  adds nothing.  ``log2_error`` turns the radii into the hull's ordinate
+  error.  A radius that fails is ``inf``.
 
 The file and the ``*_dd`` names date from the double-double engine this
 replaces; the stage benchmark wraps ``taylor_shift_dd`` and
@@ -25,9 +33,23 @@ the module at call time, so a wrapper installed on the module (for tracing)
 sees every call.
 """
 
+import math
+
 import numpy as np
 
 HULL_BITS = 60  # mantissa bits handed to the float hull
+# bounds the log2 error of a hull ordinate read from those mantissas: the
+# 60-bit floor (below 2**-58), float conversion and |.| (2**-52 each) and
+# math.log2 of a value near 2**61 (an ulp, 2**-47)
+HULL_LOG2_ERR = 2.0**-45
+# outward rounding of the error bookkeeping: _UP covers the float roundings
+# of a sum of up to 2**11 products; _DOWN turns an upper bound from
+# _magnitude into a lower one; _TINY is what underflow can lose per pair
+_UP = 1.0 + 2.0**-40
+_DOWN = 1.0 - 2.0**-38
+_TINY = 2.0**-1070
+_SQRT2 = math.sqrt(2.0)  # rounds up
+_LOG2E = 1.0 / math.log(2.0)
 
 
 def _dyadic(x):
@@ -68,47 +90,103 @@ def taylor_shift_dd(coeffs, z):
 def _truncate(r, i, e, bits):
     """``(r + i*im) * 2**e`` with ``max(|r|, |i|)`` brought to ``P + 1 = bits`` bits.
 
-    Widening is exact; narrowing floors each part, an error below one unit.
+    Returns ``(r, i, e, narrowed)``.  Widening is exact; narrowing floors each
+    part, an error below one unit in each.
     """
     if not (r or i):
-        return 0, 0, 0
+        return 0, 0, 0, False
     t = max(abs(r).bit_length(), abs(i).bit_length()) - bits
     if t > 0:
-        return r >> t, i >> t, e + t
-    return r << -t, i << -t, e + t
+        return r >> t, i >> t, e + t, True
+    return r << -t, i << -t, e + t, False
+
+
+def _magnitude(r, i, P):
+    """An upper bound on ``|r + i*im| / 2**P`` from the top 53 bits of each part."""
+    t = P - 52
+    return math.hypot((abs(r) >> t) + 1, (abs(i) >> t) + 1) * _UP * 2.0**-52
+
+
+def _radius(err, scale, narrowed, r, i, P):
+    """The radius ``rad`` of a ``P + 1``-bit mantissa ``r + i*im`` whose absolute
+    error is ``err * 2**scale`` units, plus a floor's if ``narrowed``.
+
+    ``inf`` from ``2**min(P + 20, 960)`` on: a coefficient that may be off by
+    ``2**20`` times itself, or that has lost 960 bits, fails the bound.  All
+    other radii keep the bookkeeping's products below ``2**1000``.
+    """
+    try:
+        scaled = math.ldexp(err, scale)
+    except OverflowError:
+        return math.inf
+    rad = (scaled + _SQRT2 * narrowed) * _UP / (_magnitude(r, i, P) * _DOWN)
+    return rad if rad < math.ldexp(1.0, min(P + 20, 960)) else math.inf
 
 
 def mantexp_dd(re, im, P):
-    """Gaussian-integer coefficients as ``P + 1``-bit mantissas with int exponents."""
+    """Gaussian-integer coefficients as ``P + 1``-bit mantissas with int exponents.
+
+    Returns ``(re, im, rad, e)``: ``rad[i]`` is coefficient ``i``'s relative
+    error radius in units of ``2**-P``, 0 where the mantissa is exact.
+    """
     out = [_truncate(r, i, 0, P + 1) for r, i in zip(re, im)]
-    return [o[0] for o in out], [o[1] for o in out], [o[2] for o in out]
+    rad = [_radius(0.0, 0, nw, r, i, P) if nw else 0.0 for r, i, _, nw in out]
+    return [o[0] for o in out], [o[1] for o in out], rad, [o[2] for o in out]
 
 
-def graeffe_step_me_dd(re, im, e, P):
+def graeffe_step_me_dd(re, im, rad, e, P):
     """One step ``q(x**2) = (-1)**n p(x) p(-x)`` on ``P + 1``-bit Gaussian mantissas.
 
     ``q_j = (-1)**n * ((-1)**j c_j**2 + 2 * sum_{i<j} (-1)**i c_i c_{2j-i})``.
     The kept pair products are aligned to the smallest kept exponent and
     summed exactly; products more than ``3P`` bits below the largest are
     skipped.  The sum is then truncated once to ``P + 1`` bits.
+
+    Error radii: with ``d = rad * 2**-P`` and ``mult`` 2 off the diagonal,
+    the result ``q'_j`` is off the exact ``q_j`` by at most the sum of
+
+    - ``mult * |c_i| |c_k| (d_i + d_k + d_i d_k)`` over the kept pairs,
+    - ``mult * |c_i| |c_k| (1 + d_i) (1 + d_k)`` over the skipped pairs,
+    - ``sqrt(2) * 2**e'_j`` when the final floor narrows,
+
+    divided by ``|q'_j|`` for ``rad'_j``.  Magnitudes come from the top 53
+    bits of each part, rounded outward.  An output that is exactly 0 while
+    its pairs carry error gets ``inf``, as ``_radius`` gives past its range;
+    a step on a state holding ``inf`` returns None.
     """
+    if math.inf in rad:
+        return None
     n = len(re) - 1
     nz = [bool(r or i) for r, i in zip(re, im)]
     real = not any(im)
     cut = 3 * P
-    ore, oim, oe = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
+    # a: |c_i| and b: |c_i| (1 + d_i), upper bounds in units of 2**(e_i + P);
+    # p: the absolute radius in units of 2**e_i
+    a = [_magnitude(r, i, P) if z else 0.0 for r, i, z in zip(re, im, nz)]
+    p = [ai * di * _UP for ai, di in zip(a, rad)]
+    b = [(ai + math.ldexp(pi, -P)) * _UP for ai, pi in zip(a, p)]
+    inexact = any(p)
+    ldexp = math.ldexp
+    ore, oim, orad, oe = [0] * (n + 1), [0] * (n + 1), [0.0] * (n + 1), [0] * (n + 1)
     for j in range(n + 1):
         pairs = range(max(0, 2 * j - n), j + 1)
         terms = [(e[i] + e[2 * j - i], i) for i in pairs if nz[i] and nz[2 * j - i]]
         if not terms:
             continue
-        top = max(terms)[0] - cut
-        terms = [t for t in terms if t[0] >= top]
-        low = min(terms)[0]
+        top = max(terms)[0]
+        kept = [t for t in terms if t[0] >= top - cut]
+        low = min(kept)[0]
         sr = si = 0
+        # error sums in units of 2**(top + P), rounded up at the end
+        err = len(terms) * _TINY
         for ei, i in terms:
             k = 2 * j - i
-            sh = ei - low + (i != j)  # off-diagonal pairs count twice
+            off = i != j  # off-diagonal pairs count twice
+            if ei < low:
+                err += ldexp(b[i] * b[k], ei - top + off + P)
+                continue
+            err += ldexp(p[i] * b[k] + a[i] * p[k], ei - top + off)
+            sh = ei - low + off
             if real:
                 tr = (re[i] * re[k]) << sh
                 sr = sr - tr if i & 1 else sr + tr
@@ -124,8 +202,28 @@ def graeffe_step_me_dd(re, im, e, P):
                 sr, si = sr + tr, si + ti
         if n & 1:
             sr, si = -sr, -si
-        ore[j], oim[j], oe[j] = _truncate(sr, si, low, P + 1)
-    return ore, oim, oe
+        r, i, ex, narrowed = _truncate(sr, si, low, P + 1)
+        ore[j], oim[j], oe[j] = r, i, ex
+        if r or i:
+            orad[j] = _radius(err * _UP, top + P - ex, narrowed, r, i, P)
+        elif inexact or len(kept) < len(terms):
+            orad[j] = math.inf
+    return ore, oim, orad, oe
+
+
+def log2_error(rad, hull, P):
+    """How far, in log2, a true coefficient can lie from its hull ordinate.
+
+    The larger of ``log2(1 + d)`` over every coefficient and ``-log2(1 - d)``
+    over the hull vertices ``hull``, with ``d = rad * 2**-P``, plus
+    ``HULL_LOG2_ERR``; ``inf`` when a hull vertex has ``d >= 1`` or a radius
+    is infinite.
+    """
+    up = math.ldexp(max(rad), -P)
+    down = math.ldexp(max(rad[h] for h in hull), -P)
+    if down >= 1.0 or up == math.inf:
+        return math.inf
+    return max(math.log1p(up), -math.log1p(-down)) * _LOG2E * _UP + HULL_LOG2_ERR
 
 
 def hull_mantissas(re, im, P):

@@ -10,11 +10,13 @@ One driver, ``_radii``, runs this procedure for every entry point: it strips
 the roots at the center, squares up to ``k`` times under one stop rule and
 reads the hull.  The squarings run on a per-coefficient (mantissa, exponent)
 representation, of which there are two.  The radii at the origin
-(``newton_polygon_radii``, ``refined_radii``) use float64 mantissas.  The
-distances from a far center (``distances_from_point``) use the exact Taylor
-shift and ``P + 1``-bit Gaussian-integer mantissas of ``_dd``, at a precision
-``P`` that starts at ``max(64, 16n)`` and doubles until two precisions agree.
-After many squarings the coefficient magnitudes of the iterated polynomial
+(``newton_polygon_radii``, ``refined_radii``) use float64 mantissas, and
+their ``rel_factor`` is the exact-arithmetic ``(2n)**(1/2**k)``: it does not
+yet count the float engine's rounding.  The distances from a far center
+(``distances_from_point``) use the exact Taylor shift and ``P + 1``-bit
+Gaussian-integer mantissas of ``_dd`` with an error radius per coefficient,
+and their ``rel_factor`` counts every rounding of that engine.  After many
+squarings the coefficient magnitudes of the iterated polynomial
 span far more than the ~2000 bits a float64 can express, while the hull only
 ever needs ``log2`` of each coefficient; splitting the exponent out keeps
 every quantity representable with no loss relevant to the estimates
@@ -45,7 +47,11 @@ class RadiiEstimate:
     """Non-increasing root-radius approximations with their guarantee factor.
 
     Each true radius ``r_j`` satisfies ``1/rel_factor <= radii[j]/r_j <=
-    rel_factor`` (zero radii are exact).
+    rel_factor`` (zero radii are exact).  From ``distances_from_point`` the
+    factor includes every rounding of the integer engine; the float hull's
+    own rounding moves a radius by a few ulps of ``log2 r`` more.  From
+    ``refined_radii`` and ``newton_polygon_radii`` it holds in exact
+    arithmetic and does not yet include the float engine's rounding.
     """
 
     radii: np.ndarray
@@ -68,7 +74,8 @@ def _hull_radii(m, e, k):
     exponent within ``2**52``, so the difference converts to float exactly.
     Zero coefficients are simply absent from the hull.  Requires nonzero
     constant and leading coefficients; raises PrecisionLossError when a radius
-    overflows or underflows to 0.
+    overflows or underflows to 0.  Returns the radii and the coefficient
+    indices of the hull vertices.
     """
     ms, es = m.tolist(), np.asarray(e).tolist()
     xs = [i for i, mi in enumerate(ms) if mi != 0]
@@ -97,7 +104,7 @@ def _hull_radii(m, e, k):
             raise PrecisionLossError(f"a root radius of 2**{log_r:.6g} is outside the float range")
         out.extend([r] * (xs[b] - xs[a]))
     out.reverse()
-    return np.array(out, dtype=np.float64)
+    return np.array(out, dtype=np.float64), [xs[h] for h in hull]
 
 
 def choose_iteration_count(n: int, target_rel_error: float) -> int:
@@ -122,6 +129,7 @@ class _Representation(NamedTuple):
     mantexp: Callable  # coefficient arrays -> state
     step: Callable  # state -> next state, or None when the step is unusable
     mantissa: Callable  # state -> complex mantissas for the hull
+    log2_error: Callable  # (state, hull vertices) -> ordinate error bound; None: not tracked
 
 
 def _float_step(m, e):
@@ -131,28 +139,22 @@ def _float_step(m, e):
     return None
 
 
-_FLOAT = _Representation(_kernels.mantexp, _float_step, lambda m, e: m)
+_FLOAT = _Representation(_kernels.mantexp, _float_step, lambda m, e: m, None)
 
 # distance queries start at max(64, 16n) bits and give up past this many
 _MAX_BITS = 2**13
-_U = 2.0**-53
+# a certified factor whose factor - 1 is within this relative slack of the
+# exact-arithmetic one gains nothing from more bits
+_SETTLED = 1e-9
 
 
 def _int_representation(P):
-    # anchors are single products of nonzero mantissas, so no step is unusable
+    # a step is unusable once its error bound has failed
     return _Representation(
         lambda re, im: _dd.mantexp_dd(re, im, P),
-        lambda re, im, e: _dd.graeffe_step_me_dd(re, im, e, P),
-        lambda re, im, e: _dd.hull_mantissas(re, im, P),
-    )
-
-
-def _agree(a, b):
-    """Every radius of ``a`` within ``b``'s factor (plus 4 ulps) of ``b``'s; zeros equal."""
-    zero = b.radii == 0
-    tol = b.rel_factor - 1.0 + 4 * _U
-    return np.array_equal(a.radii == 0, zero) and bool(
-        np.all(np.abs(a.radii[~zero] / b.radii[~zero] - 1.0) <= tol)
+        lambda re, im, rad, e: _dd.graeffe_step_me_dd(re, im, rad, e, P),
+        lambda re, im, rad, e: _dd.hull_mantissas(re, im, P),
+        lambda state, hull: _dd.log2_error(state[2], hull, P),
     )
 
 
@@ -164,6 +166,25 @@ def _radii(p, target_rel_error, cs, rep):
     a root at the center is an index where every array is zero.  ``rep`` is
     the squaring representation.  With ``target_rel_error=None`` nothing is
     squared and the radii hold within ``2n``.
+
+    A representation that tracks errors certifies the factor
+    ``(2n * 4**eps)**(2**-k)`` after ``k`` squarings (Imbach & Pan, CASC 2021,
+    certify Graeffe root radii the same way).  Let ``y_i`` be the hull's
+    ordinates, ``y*_i = log2|c*_i|`` those of the exact iterate, and ``eps``
+    the bound of ``log2_error``: ``y*_i <= y_i + eps`` at every point and
+    ``y*_i >= y_i - eps`` at the vertices of the computed upper hull ``f``.
+
+    - ``f + eps`` is concave and lies above every ``y*_i``, so the exact
+      hull ``g`` satisfies ``g <= f + eps``.
+    - At each vertex of ``f``, ``g >= y* >= f - eps``; between two vertices
+      ``f`` is linear and ``g`` concave, so ``g >= f - eps`` on all of
+      ``[0, n]``.  The end vertices have ``y*`` finite, so ``g`` spans the
+      same degree.
+    - So ``|g - f| <= eps`` at every integer, and every unit-interval slope
+      of ``f`` is within ``2 eps`` of ``g``'s.  The Newton polygon puts the
+      iterate's radii within ``2n`` of ``2**-slope(g)``, hence within
+      ``2n * 4**eps`` of ``2**-slope(f)``; the ``2**k``-th roots take the
+      ``2**k``-th root of that factor.
     """
     if p.coeffs[-1] == 0:
         raise ValueError("leading coefficient must be nonzero")
@@ -188,10 +209,14 @@ def _radii(p, target_rel_error, cs, rep):
             break
         state = nxt
         done += 1
-    radii = _hull_radii(rep.mantissa(*state), state[-1], done)
+    radii, hull = _hull_radii(rep.mantissa(*state), state[-1], done)
     if nzero:
         radii = np.concatenate([radii, np.zeros(nzero)])
-    return RadiiEstimate(radii, float((2 * n) ** (2.0**-done)), done)
+    factor = (2 * n) ** (2.0**-done)
+    if rep.log2_error is not None:
+        eps = rep.log2_error(state, hull)
+        factor = (2 * n * 4.0**eps) ** (2.0**-done) if eps < 256 else math.inf
+    return RadiiEstimate(radii, float(factor), done)
 
 
 def newton_polygon_radii(p: Polynomial) -> RadiiEstimate:
@@ -212,6 +237,12 @@ def refined_radii(p: Polynomial, target_rel_error: float) -> RadiiEstimate:
     return _radii(p, target_rel_error, (p.coeffs,), _FLOAT)
 
 
+def _settled(est, n, target_rel_error):
+    """Whether ``est``'s certified factor meets the target or the exact-arithmetic factor."""
+    exact = (2 * n) ** (2.0**-est.squarings_used)
+    return est.rel_factor - 1.0 <= max(target_rel_error, (exact - 1.0) * (1.0 + _SETTLED))
+
+
 def distances_from_point(p: Polynomial, z, target_rel_error: float) -> RadiiEstimate:
     """Distances from ``z`` to all roots of ``p``, non-increasing.
 
@@ -219,23 +250,25 @@ def distances_from_point(p: Polynomial, z, target_rel_error: float) -> RadiiEsti
     the distances cluster within a relative band of about ``1/|z|``, and the
     coefficient basis conditions them like ``(2|z|)**n / prod(gaps)``, far
     beyond float64.  So the shift is exact and the squarings run on
-    ``P + 1``-bit integer mantissas: ``P`` starts at ``max(64, 16n)`` and
-    doubles until two successive precisions give radii that agree within the
-    factor, and the higher-precision estimate is returned.  Past
-    ``2**13`` bits it raises ``PrecisionLossError``, as it does for a
-    non-finite ``z`` (a center that overflowed).  A vanishing constant term
-    of the shifted polynomial reports the corresponding distances as exact
-    zeros.
+    ``P + 1``-bit integer mantissas that carry error radii, and the factor
+    returned is certified: it counts every rounding of those squarings.  It
+    squares once at ``P = max(64, 16n)`` and doubles ``P`` only while the
+    certified factor is above both ``1 + target_rel_error`` and the factor
+    exact arithmetic gives after the same squarings (``factor - 1`` within a
+    relative ``1e-9`` of it counts as equal).  Past ``2**13`` bits it raises
+    ``PrecisionLossError``, as it does for a non-finite ``z`` (a center that
+    overflowed).  A vanishing constant term of the shifted polynomial
+    reports the corresponding distances as exact zeros.
     """
     if not np.isfinite(complex(z)):
         raise PrecisionLossError(f"shift center {z} is not finite")
     # the shift is exact, so every precision squares the same polynomial; its
     # power-of-two factor moves no radius
     re, im, _ = _dd.taylor_shift_dd(p.coeffs, z)
-    P, est = max(64, 16 * p.degree), None
+    P = max(64, 16 * p.degree)
     while P <= _MAX_BITS:
-        nxt = _radii(p, target_rel_error, (re, im), _int_representation(P))
-        if est is not None and _agree(est, nxt):
-            return nxt
-        P, est = 2 * P, nxt
+        est = _radii(p, target_rel_error, (re, im), _int_representation(P))
+        if _settled(est, p.degree, target_rel_error):
+            return est
+        P *= 2
     raise PrecisionLossError(f"distances did not settle within {_MAX_BITS} bits")
