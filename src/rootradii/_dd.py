@@ -16,14 +16,19 @@ in integers at an explicit precision ``P``:
   int exponent per coefficient.  A squaring step sums the pair products of an
   output coefficient exactly and truncates once, toward minus infinity, to
   ``P + 1`` bits.
-- Each coefficient also carries a relative error radius ``rad``, in units of
-  ``2**-P``: the exact coefficient of the squared polynomial lies within
-  ``rad * 2**-P * |c|`` of ``c``, in the style of ball arithmetic (van der
-  Hoeven 2009; Johansson, *Arb*, IEEE TC 2017).  Every nonzero mantissa holds
-  exactly ``P + 1`` bits, so ``|M|`` lies in ``[2**P, sqrt(2) * 2**(P+1))``
-  and a narrowing floor adds at most ``sqrt(2) * 2**-P`` relative; widening
-  adds nothing.  ``log2_error`` turns the radii into the hull's ordinate
-  error.  A radius that fails is ``inf``.
+- Each coefficient also carries a relative error radius ``d``: the exact
+  coefficient of the squared polynomial lies within ``d * |c|`` of ``c``,
+  in the style of ball arithmetic (van der Hoeven 2009; Johansson, *Arb*,
+  IEEE TC 2017).  Every nonzero mantissa holds exactly ``P + 1`` bits, so
+  ``|M|`` lies in ``[2**P, sqrt(2) * 2**(P+1))`` and a narrowing floor adds
+  at most ``sqrt(2) * 2**-P`` relative; widening adds nothing.  The radii
+  of one iterate are floats ``rad`` in units of ``2**-s``, ``d = rad *
+  2**-s``, with one int ``s <= P`` that each step moves so that the largest
+  ``rad`` lies in ``[1/2, 1)``.  So a query can lose any number of bits to
+  cancellation, up to the failure of a ``d`` at ``2**20``, whatever ``P``;
+  a nonzero ``rad`` rounds up to ``2**-1000``, far below the largest of its
+  iterate.  A failed radius is ``inf``.
+  ``log2_error`` turns the radii into the hull's ordinate error.
 
 The file and the ``*_dd`` names date from the double-double engine this
 replaces; the stage benchmark wraps ``taylor_shift_dd`` and
@@ -40,14 +45,19 @@ import numpy as np
 HULL_BITS = 60  # mantissa bits handed to the float hull
 # bounds the log2 error of a hull ordinate read from those mantissas: the
 # 60-bit floor (below 2**-58), float conversion and |.| (2**-52 each) and
-# math.log2 of a value near 2**61 (an ulp, 2**-47)
+# math.log2 of a value near 2**61 (an ulp, 2**-47); the rest, over 2**-47,
+# covers a d below 2**-1000 that log2_error reads as 0
 HULL_LOG2_ERR = 2.0**-45
 # outward rounding of the error bookkeeping: _UP covers the float roundings
-# of a sum of up to 2**11 products; _DOWN turns an upper bound from
-# _magnitude into a lower one; _TINY is what underflow can lose per pair
+# of a sum of up to 2**11 products and a d below 2**-1000 lost to underflow;
+# _DOWN turns an upper bound from _magnitude into a lower one; _TINY is what
+# underflow can lose per pair.  A nonzero rad is at least _RAD_MIN; d fails
+# from _D_MAX on.
 _UP = 1.0 + 2.0**-40
 _DOWN = 1.0 - 2.0**-38
 _TINY = 2.0**-1070
+_RAD_MIN = 2.0**-1000
+_D_MAX = 2.0**20
 _SQRT2 = math.sqrt(2.0)  # rounds up
 _LOG2E = 1.0 / math.log(2.0)
 
@@ -107,34 +117,49 @@ def _magnitude(r, i, P):
     return math.hypot((abs(r) >> t) + 1, (abs(i) >> t) + 1) * _UP * 2.0**-52
 
 
-def _radius(err, scale, narrowed, r, i, P):
-    """The radius ``rad`` of a ``P + 1``-bit mantissa ``r + i*im`` whose absolute
-    error is ``err * 2**scale`` units, plus a floor's if ``narrowed``.
+def _radius(err, scale, narrowed, r, i, P, s):
+    """The ``rad`` (units of ``2**-s``) of a ``P + 1``-bit mantissa ``r + i*im``
+    whose absolute error is ``err * 2**(scale + P - s)`` units, plus a
+    floor's if ``narrowed``.
 
-    ``inf`` from ``2**min(P + 20, 960)`` on: a coefficient that may be off by
-    ``2**20`` times itself, or that has lost 960 bits, fails the bound.  All
-    other radii keep the bookkeeping's products below ``2**1000``.
+    ``inf`` past the float range.  Underflow in the two ``ldexp`` loses under
+    ``2**-1073`` in all, far below ``_UP``'s spare ``2**-41`` relative of any
+    ``rad`` above ``_RAD_MIN``; smaller ones round up to ``_RAD_MIN``.
     """
     try:
-        scaled = math.ldexp(err, scale)
+        scaled = math.ldexp(err, scale) + math.ldexp(_SQRT2 * narrowed, s - P)
     except OverflowError:
         return math.inf
-    rad = (scaled + _SQRT2 * narrowed) * _UP / (_magnitude(r, i, P) * _DOWN)
-    return rad if rad < math.ldexp(1.0, min(P + 20, 960)) else math.inf
+    return max(scaled * _UP / (_magnitude(r, i, P) * _DOWN), _RAD_MIN)
+
+
+def _rescaled(rad, s, P):
+    """``rad`` and ``s`` moved so that the largest finite ``rad`` lies in
+    ``[1/2, 1)``, with ``s`` at most ``P``.
+
+    The shift by a power of two is exact down to ``_RAD_MIN``, to which
+    smaller nonzero radii round up.  A ``d`` that reaches ``_D_MAX`` fails.
+    """
+    top = max((r for r in rad if r < math.inf), default=0.0)
+    t = max(math.frexp(top)[1], s - P) if top else 0
+    s -= t
+    cap = math.ldexp(_D_MAX, min(s, -19))  # above every rad unless s < -19
+    out = [max(math.ldexp(r, -t), _RAD_MIN) if 0.0 < r < math.inf else r for r in rad]
+    return [math.inf if r >= cap else r for r in out], s
 
 
 def mantexp_dd(re, im, P):
     """Gaussian-integer coefficients as ``P + 1``-bit mantissas with int exponents.
 
-    Returns ``(re, im, rad, e)``: ``rad[i]`` is coefficient ``i``'s relative
-    error radius in units of ``2**-P``, 0 where the mantissa is exact.
+    Returns ``(re, im, rad, s, e)``: ``rad[i] * 2**-s`` is coefficient ``i``'s
+    relative error radius, 0 where the mantissa is exact; ``s = P``.
     """
     out = [_truncate(r, i, 0, P + 1) for r, i in zip(re, im)]
-    rad = [_radius(0.0, 0, nw, r, i, P) if nw else 0.0 for r, i, _, nw in out]
-    return [o[0] for o in out], [o[1] for o in out], rad, [o[2] for o in out]
+    rad = [_radius(0.0, 0, nw, r, i, P, P) if nw else 0.0 for r, i, _, nw in out]
+    return [o[0] for o in out], [o[1] for o in out], rad, P, [o[2] for o in out]
 
 
-def graeffe_step_me_dd(re, im, rad, e, P):
+def graeffe_step_me_dd(re, im, rad, s, e, P):
     """One step ``q(x**2) = (-1)**n p(x) p(-x)`` on ``P + 1``-bit Gaussian mantissas.
 
     ``q_j = (-1)**n * ((-1)**j c_j**2 + 2 * sum_{i<j} (-1)**i c_i c_{2j-i})``.
@@ -142,17 +167,17 @@ def graeffe_step_me_dd(re, im, rad, e, P):
     summed exactly; products more than ``3P`` bits below the largest are
     skipped.  The sum is then truncated once to ``P + 1`` bits.
 
-    Error radii: with ``d = rad * 2**-P`` and ``mult`` 2 off the diagonal,
+    Error radii: with ``d = rad * 2**-s`` and ``mult`` 2 off the diagonal,
     the result ``q'_j`` is off the exact ``q_j`` by at most the sum of
 
     - ``mult * |c_i| |c_k| (d_i + d_k + d_i d_k)`` over the kept pairs,
     - ``mult * |c_i| |c_k| (1 + d_i) (1 + d_k)`` over the skipped pairs,
     - ``sqrt(2) * 2**e'_j`` when the final floor narrows,
 
-    divided by ``|q'_j|`` for ``rad'_j``.  Magnitudes come from the top 53
-    bits of each part, rounded outward.  An output that is exactly 0 while
-    its pairs carry error gets ``inf``, as ``_radius`` gives past its range;
-    a step on a state holding ``inf`` returns None.
+    divided by ``|q'_j|`` for ``d'_j``, and ``_rescaled`` sets the new ``s``.
+    Magnitudes come from the top 53 bits of each part, rounded outward.  An
+    output that is exactly 0 while its pairs carry error gets ``inf``; a
+    step on a state holding ``inf`` returns None.
     """
     if math.inf in rad:
         return None
@@ -161,10 +186,10 @@ def graeffe_step_me_dd(re, im, rad, e, P):
     real = not any(im)
     cut = 3 * P
     # a: |c_i| and b: |c_i| (1 + d_i), upper bounds in units of 2**(e_i + P);
-    # p: the absolute radius in units of 2**e_i
+    # p: |c_i| d_i in units of 2**(e_i + P - s)
     a = [_magnitude(r, i, P) if z else 0.0 for r, i, z in zip(re, im, nz)]
-    p = [ai * di * _UP for ai, di in zip(a, rad)]
-    b = [(ai + math.ldexp(pi, -P)) * _UP for ai, pi in zip(a, p)]
+    p = [ai * ri * _UP for ai, ri in zip(a, rad)]
+    b = [(ai + math.ldexp(pi, -s)) * _UP for ai, pi in zip(a, p)]
     inexact = any(p)
     ldexp = math.ldexp
     ore, oim, orad, oe = [0] * (n + 1), [0] * (n + 1), [0.0] * (n + 1), [0] * (n + 1)
@@ -177,13 +202,13 @@ def graeffe_step_me_dd(re, im, rad, e, P):
         kept = [t for t in terms if t[0] >= top - cut]
         low = min(kept)[0]
         sr = si = 0
-        # error sums in units of 2**(top + P), rounded up at the end
+        # error sums in units of 2**(top + 2P - s), rounded up at the end
         err = len(terms) * _TINY
         for ei, i in terms:
             k = 2 * j - i
             off = i != j  # off-diagonal pairs count twice
             if ei < low:
-                err += ldexp(b[i] * b[k], ei - top + off + P)
+                err += ldexp(b[i] * b[k], ei - top + off + s)
                 continue
             err += ldexp(p[i] * b[k] + a[i] * p[k], ei - top + off)
             sh = ei - low + off
@@ -205,22 +230,22 @@ def graeffe_step_me_dd(re, im, rad, e, P):
         r, i, ex, narrowed = _truncate(sr, si, low, P + 1)
         ore[j], oim[j], oe[j] = r, i, ex
         if r or i:
-            orad[j] = _radius(err * _UP, top + P - ex, narrowed, r, i, P)
+            orad[j] = _radius(err * _UP, top + P - ex, narrowed, r, i, P, s)
         elif inexact or len(kept) < len(terms):
             orad[j] = math.inf
-    return ore, oim, orad, oe
+    return (ore, oim, *_rescaled(orad, s, P), oe)
 
 
-def log2_error(rad, hull, P):
+def log2_error(rad, s, hull):
     """How far, in log2, a true coefficient can lie from its hull ordinate.
 
-    The larger of ``log2(1 + d)`` over every coefficient and ``-log2(1 - d)``
-    over the hull vertices ``hull``, with ``d = rad * 2**-P``, plus
-    ``HULL_LOG2_ERR``; ``inf`` when a hull vertex has ``d >= 1`` or a radius
-    is infinite.
+    The larger of ``log2(1 + d)`` over every coefficient and
+    ``-log2(1 - d)`` over the hull vertices ``hull``, with ``d = rad *
+    2**-s``, plus ``HULL_LOG2_ERR``; ``inf`` when a hull vertex has ``d >= 1``
+    or a radius is infinite.
     """
-    up = math.ldexp(max(rad), -P)
-    down = math.ldexp(max(rad[h] for h in hull), -P)
+    up = math.ldexp(max(rad), -s)
+    down = math.ldexp(max(rad[h] for h in hull), -s)
     if down >= 1.0 or up == math.inf:
         return math.inf
     return max(math.log1p(up), -math.log1p(-down)) * _LOG2E * _UP + HULL_LOG2_ERR

@@ -15,7 +15,8 @@ their ``rel_factor`` is the exact-arithmetic ``(2n)**(1/2**k)``: it does not
 yet count the float engine's rounding.  The distances from a far center
 (``distances_from_point``) use the exact Taylor shift and ``P + 1``-bit
 Gaussian-integer mantissas of ``_dd`` with an error radius per coefficient,
-and their ``rel_factor`` counts every rounding of that engine.  After many
+and their ``rel_factor`` counts every rounding of that engine, though not
+the float hull's own (see ``RadiiEstimate``).  After many
 squarings the coefficient magnitudes of the iterated polynomial
 span far more than the ~2000 bits a float64 can express, while the hull only
 ever needs ``log2`` of each coefficient; splitting the exponent out keeps
@@ -48,10 +49,12 @@ class RadiiEstimate:
 
     Each true radius ``r_j`` satisfies ``1/rel_factor <= radii[j]/r_j <=
     rel_factor`` (zero radii are exact).  From ``distances_from_point`` the
-    factor includes every rounding of the integer engine; the float hull's
-    own rounding moves a radius by a few ulps of ``log2 r`` more.  From
-    ``refined_radii`` and ``newton_polygon_radii`` it holds in exact
-    arithmetic and does not yet include the float engine's rounding.
+    factor includes every rounding of the exact shift and the integer
+    squarings; the float hull's own arithmetic (slope division and
+    ``2**x``) moves each radius by about ``|log2 r| * 2**-52`` relative
+    more, which no factor includes.  From ``refined_radii`` and
+    ``newton_polygon_radii`` it holds in exact arithmetic and does not yet
+    include the float engine's rounding.
     """
 
     radii: np.ndarray
@@ -129,7 +132,7 @@ class _Representation(NamedTuple):
     mantexp: Callable  # coefficient arrays -> state
     step: Callable  # state -> next state, or None when the step is unusable
     mantissa: Callable  # state -> complex mantissas for the hull
-    log2_error: Callable  # (state, hull vertices) -> ordinate error bound; None: not tracked
+    log2_error: Callable  # (state, hull vertices) -> ordinate error bound
 
 
 def _float_step(m, e):
@@ -139,9 +142,11 @@ def _float_step(m, e):
     return None
 
 
-_FLOAT = _Representation(_kernels.mantexp, _float_step, lambda m, e: m, None)
+# the float engine counts no rounding: eps = 0 gives the exact-arithmetic
+# factor (2n)**(2**-k)
+_FLOAT = _Representation(_kernels.mantexp, _float_step, lambda m, e: m, lambda state, hull: 0.0)
 
-# distance queries start at max(64, 16n) bits and give up past this many
+# distance queries start at max(128, 16n) bits and give up past this many
 _MAX_BITS = 2**13
 # a certified factor whose factor - 1 is within this relative slack of the
 # exact-arithmetic one gains nothing from more bits
@@ -152,9 +157,9 @@ def _int_representation(P):
     # a step is unusable once its error bound has failed
     return _Representation(
         lambda re, im: _dd.mantexp_dd(re, im, P),
-        lambda re, im, rad, e: _dd.graeffe_step_me_dd(re, im, rad, e, P),
-        lambda re, im, rad, e: _dd.hull_mantissas(re, im, P),
-        lambda state, hull: _dd.log2_error(state[2], hull, P),
+        lambda *state: _dd.graeffe_step_me_dd(*state, P),
+        lambda re, im, rad, s, e: _dd.hull_mantissas(re, im, P),
+        lambda state, hull: _dd.log2_error(state[2], state[3], hull),
     )
 
 
@@ -167,12 +172,14 @@ def _radii(p, target_rel_error, cs, rep):
     the squaring representation.  With ``target_rel_error=None`` nothing is
     squared and the radii hold within ``2n``.
 
-    A representation that tracks errors certifies the factor
-    ``(2n * 4**eps)**(2**-k)`` after ``k`` squarings (Imbach & Pan, CASC 2021,
-    certify Graeffe root radii the same way).  Let ``y_i`` be the hull's
-    ordinates, ``y*_i = log2|c*_i|`` those of the exact iterate, and ``eps``
-    the bound of ``log2_error``: ``y*_i <= y_i + eps`` at every point and
-    ``y*_i >= y_i - eps`` at the vertices of the computed upper hull ``f``.
+    The factor after ``k`` squarings is ``(2n * 4**eps)**(2**-k)`` with
+    ``eps`` from ``rep.log2_error``; the float representation tracks no
+    error and gives ``eps = 0``.  For one that does, the factor is certified
+    (Imbach & Pan, CASC 2021, certify Graeffe root radii the same way).
+    Let ``y_i`` be the hull's ordinates, ``y*_i = log2|c*_i|`` those of the
+    exact iterate, and ``eps`` the bound of ``log2_error``: ``y*_i <= y_i +
+    eps`` at every point and ``y*_i >= y_i - eps`` at the vertices of the
+    computed upper hull ``f``.
 
     - ``f + eps`` is concave and lies above every ``y*_i``, so the exact
       hull ``g`` satisfies ``g <= f + eps``.
@@ -212,11 +219,9 @@ def _radii(p, target_rel_error, cs, rep):
     radii, hull = _hull_radii(rep.mantissa(*state), state[-1], done)
     if nzero:
         radii = np.concatenate([radii, np.zeros(nzero)])
-    factor = (2 * n) ** (2.0**-done)
-    if rep.log2_error is not None:
-        eps = rep.log2_error(state, hull)
-        factor = (2 * n * 4.0**eps) ** (2.0**-done) if eps < 256 else math.inf
-    return RadiiEstimate(radii, float(factor), done)
+    eps = rep.log2_error(state, hull)
+    factor = (2 * n * 4.0**eps) ** (2.0**-done) if eps < 256 else math.inf
+    return RadiiEstimate(radii, factor, done)
 
 
 def newton_polygon_radii(p: Polynomial) -> RadiiEstimate:
@@ -251,24 +256,30 @@ def distances_from_point(p: Polynomial, z, target_rel_error: float) -> RadiiEsti
     coefficient basis conditions them like ``(2|z|)**n / prod(gaps)``, far
     beyond float64.  So the shift is exact and the squarings run on
     ``P + 1``-bit integer mantissas that carry error radii, and the factor
-    returned is certified: it counts every rounding of those squarings.  It
-    squares once at ``P = max(64, 16n)`` and doubles ``P`` only while the
-    certified factor is above both ``1 + target_rel_error`` and the factor
-    exact arithmetic gives after the same squarings (``factor - 1`` within a
-    relative ``1e-9`` of it counts as equal).  Past ``2**13`` bits it raises
-    ``PrecisionLossError``, as it does for a non-finite ``z`` (a center that
-    overflowed).  A vanishing constant term of the shifted polynomial
-    reports the corresponding distances as exact zeros.
+    returned is certified: it counts every rounding of those squarings (not
+    the float hull's own, about ``|log2 r| * 2**-52`` relative).  It squares
+    once at ``P = max(128, 16n)`` and keeps that result only if its certified
+    factor is the one exact arithmetic gives after the same squarings
+    (``factor - 1`` within a relative ``1e-9`` of it); otherwise it doubles
+    ``P`` until the factor meets either that or ``1 + target_rel_error``.
+    Past ``2**13`` bits it raises ``PrecisionLossError``, as it does for a
+    non-finite ``z`` (a center that overflowed).  A vanishing constant term
+    of the shifted polynomial reports the corresponding distances as exact
+    zeros.
     """
     if not np.isfinite(complex(z)):
         raise PrecisionLossError(f"shift center {z} is not finite")
     # the shift is exact, so every precision squares the same polynomial; its
     # power-of-two factor moves no radius
     re, im, _ = _dd.taylor_shift_dd(p.coeffs, z)
-    P = max(64, 16 * p.degree)
+    P = max(128, 16 * p.degree)
+    # a first factor that only meets the target has lost bits to rounding
+    # that one doubling mostly wins back, and the annuli are that much wider
+    target = 0.0
     while P <= _MAX_BITS:
         est = _radii(p, target_rel_error, (re, im), _int_representation(P))
-        if _settled(est, p.degree, target_rel_error):
+        if _settled(est, p.degree, target):
             return est
+        target = target_rel_error
         P *= 2
     raise PrecisionLossError(f"distances did not settle within {_MAX_BITS} bits")

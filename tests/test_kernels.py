@@ -426,14 +426,14 @@ class TestIntegerGraeffe:
             im = [int(v) for v in rng.integers(-(2**62), 2**62, n + 1)]
             if n > 3:
                 re[n // 2] = im[n // 2] = 0  # a missing term
-            re, im, rad, e = _dd.mantexp_dd(re, im, P)
+            re, im, rad, s, e = _dd.mantexp_dd(re, im, P)
             spread = rng.integers(-200, 201, n + 1)
             e = [ei + int(d) if r or i else 0 for ei, r, i, d in zip(e, re, im, spread)]
-            got = _dd.graeffe_step_me_dd(re, im, rad, e, P)
+            got = _dd.graeffe_step_me_dd(re, im, rad, s, e, P)
             c = [(dyadic(r, ei), dyadic(i, ei)) for r, i, ei in zip(re, im, e)]
             exact, _ = exact_graeffe_fractions(c)
             for j, (xr, xi) in enumerate(exact):
-                gr, gi, ge = got[0][j], got[1][j], got[3][j]
+                gr, gi, ge = got[0][j], got[1][j], got[4][j]
                 if xr == xi == 0:
                     assert gr == gi == 0, (n, j)
                     continue
@@ -448,9 +448,9 @@ class TestIntegerGraeffe:
         exact = [4, 3, -30, -23, 16, 16, 16, 8]
         n = len(exact) - 1
         P = 16 * n
-        re, im, rad, e = _dd.mantexp_dd(exact, [0] * (n + 1), P)
+        re, im, rad, s, e = _dd.mantexp_dd(exact, [0] * (n + 1), P)
         for _ in range(12):
-            re, im, rad, e = _dd.graeffe_step_me_dd(re, im, rad, e, P)
+            re, im, rad, s, e = _dd.graeffe_step_me_dd(re, im, rad, s, e, P)
             exact = [
                 (-1) ** n * sum((-1) ** i * exact[i] * exact[2 * j - i]
                                 for i in range(max(0, 2 * j - n), min(2 * j, n) + 1))

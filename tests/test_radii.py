@@ -313,6 +313,26 @@ class TestDistancesAgainstMpmath:
         directions = (1.0, 1j, cmath.exp(0.25j * math.pi))
         self.assert_within_factor(c, 100.0, directions, roots if exact else None)
 
+    @pytest.mark.parametrize("n,eta", [(64, 100.0), (128, 100.0), (40, 1e5), (64, 1e5)])
+    def test_high_degree(self, n, eta):
+        # the first squarings lose about n bits each to cancellation, over a
+        # thousand in all at n = 128: more than a float's exponent range, so
+        # the radii must keep their own scale.  The roots are np.roots
+        # polished by Newton's method in 60 digits (mpmath's polyroots takes
+        # half a minute at n = 128).
+        mpmath = pytest.importorskip("mpmath")
+        c = np.random.default_rng(n).standard_normal(n + 1)
+        with mpmath.workdps(60):
+            coeffs = [mpmath.mpf(float(x)) for x in c[::-1]]
+            roots = []
+            for r in np.roots(c[::-1]):
+                x = mpmath.mpc(complex(r))
+                for _ in range(6):
+                    y, dy = mpmath.polyval(coeffs, x, derivative=True)
+                    x -= y / dy
+                roots.append(x)
+        self.assert_within_factor(c, eta, (1.0,), roots)
+
     def test_farther_center_needs_more_bits(self):
         # at eta = 1e5 the first precision, 16n bits, is off by about 1e4
         # times the exact-arithmetic factor; its certified factor says so, and
