@@ -14,12 +14,12 @@ polish, where Python's complex division rounds differently from numpy's.
 Polynomial coefficients are ascending-degree throughout.  The Graeffe kernel
 works on a split (mantissa, exponent) representation, ``c_i = m_i * 2**e_i``
 with ``|m_i| in [1, 2)`` or ``m_i == 0``, so that thousands of effective
-squarings never overflow or underflow the coefficient vector.  It fills its
-outputs a block of columns at a time: row ``j``, column ``t`` of a block pairs
-``i = j - t`` with ``k = j + t``, both read through strided windows on
-zero-padded copies of the input, so a block costs a fixed number of array
-operations and each of its temporaries holds at most ``_BLOCK`` entries
-(256 KiB of float64) whatever the degree.
+squarings never overflow or underflow the coefficient vector; real ``m_i``
+stay float64.  It fills its outputs a block of columns at a time: row ``j``,
+column ``t`` of a block pairs ``i = j - t`` with ``k = j + t``, both read
+through read-only strided windows on one zero-padded buffer per operand, so a
+block costs a fixed number of array operations and each of its temporaries
+holds at most ``_BLOCK`` entries (256 KiB of float64) whatever the degree.
 """
 
 import numpy as np
@@ -46,16 +46,17 @@ def horner_pair(coeffs, x):
 def mantexp(c, e=0):
     """Split ``c_i * 2**e_i = m_i * 2**f_i`` with ``|m_i| in [1, 2)``; returns ``(m, f)``.
 
-    Zeros get ``m_i = f_i = 0``.  The scaling is by powers of two, so exact.
+    ``m`` is float64 for real ``c``.  Zeros get ``m_i = f_i = 0``.  The scaling is exact.
     """
-    c = np.asarray(c, dtype=np.complex128)
-    nz = c != 0
+    c = np.asarray(c)
+    if not np.iscomplexobj(c):
+        m, ex = np.frexp(c.astype(np.float64, copy=False))
+        return 2.0 * m, np.where(c != 0, e + ex - 1, 0).astype(np.int64)
     _, ex = np.frexp(np.abs(c))
-    shift = np.where(nz, 1 - ex, 0)
-    m = np.empty_like(c)
-    m.real = np.ldexp(c.real, shift)
-    m.imag = np.ldexp(c.imag, shift)
-    return m, np.where(nz, e + ex - 1, 0).astype(np.int64)
+    m = np.empty(c.shape, dtype=np.complex128)
+    m.real = np.ldexp(c.real, 1 - ex)
+    m.imag = np.ldexp(c.imag, 1 - ex)
+    return m, np.where(c != 0, e + ex - 1, 0).astype(np.int64)
 
 
 _BLOCK = 2**15
@@ -73,22 +74,22 @@ def graeffe_step_me(m, e):
     the float64 exponent bits, and becomes 0 below ``2**-1022``.  The sum is
     the ``i = j`` term plus twice the pairwise sum of the pairs ``i < j``,
     which come in both orders.  The sums are then renormalized together to
-    ``|m| in [1, 2)``.  Real mantissas are squared in float64.
+    ``|m| in [1, 2)``.  Real mantissas are squared and returned in float64.
     """
     n = len(m) - 1
-    if not m.imag.any():
+    if np.iscomplexobj(m) and not m.imag.any():
         m = m.real
     T = n // 2 + 1
-    # coefficient i sits at T + i of padded copies.  The i operand carries the
-    # pair's sign (-1)**i and is reversed: column j's window starts at
-    # L - 1 - T - j.  One view per dtype holds it, then k's (at L + T + j)
-    z = np.zeros(T, dtype=np.int64)
-    pm = np.concatenate([z, m, z])
-    pe = np.where(pm != 0, np.concatenate([z, e, z]), _ZERO_EXP)
-    L = len(pm)
-    sm = pm * (-1.0) ** (np.arange(L) - T)
-    wm, we = (np.lib.stride_tricks.as_strided(x, (2 * L - T + 1, T), 2 * x.strides, writeable=False)
-              for x in (np.concatenate([sm[::-1], pm]), np.concatenate([pe[::-1], pe])))
+    # zero-padded halves of length L: coefficient i sits at T + i of the plain one
+    # and at L - 1 - T - i of the reversed one, which carries the sign (-1)**i.  Row r
+    # of a window reads buf[r:r + T]; column j starts at L - 1 - T - j for i, L + T + j for k
+    L = n + 1 + 2 * T
+    bm, be = np.zeros(2 * L, dtype=m.dtype), np.full(2 * L, _ZERO_EXP)
+    bm[L + T:-T], be[L + T:-T] = m, np.where(m != 0, e, _ZERO_EXP)
+    bm[:L], be[:L] = bm[L:][::-1], be[L:][::-1]
+    bm[(n + T + 1) % 2:L:2] *= -1
+    wm, we = (np.ndarray((2 * L - T + 1, T), x.dtype, x, 0, 2 * x.strides) for x in (bm, be))
+    wm.flags.writeable = we.flags.writeable = False
     acc, top = np.empty(n + 1, dtype=m.dtype), np.empty(n + 1, dtype=np.int64)
     rows = max(1, _BLOCK // T)
     for j0 in range(0, n + 1, rows):

@@ -151,8 +151,9 @@ def graeffe_step(p: Polynomial) -> Polynomial:
     out = np.empty_like(m)
     with np.errstate(over="ignore"):
         out.real = np.ldexp(m.real, e)
-        out.imag = np.ldexp(m.imag, e)
-    if not (np.isfinite(out.real).all() and np.isfinite(out.imag).all()):
+        if np.iscomplexobj(out):
+            out.imag = np.ldexp(m.imag, e)
+    if not np.isfinite(out).all():
         raise PrecisionLossError("root-squaring overflowed double precision")
     if any(m[j] != 0 and out[j] == 0 for j in (0, -1)):
         raise PrecisionLossError("root-squaring underflowed an end coefficient")
@@ -206,7 +207,6 @@ def root_radius_upper_bound(p: Polynomial) -> float:
 
 def parse_coefficients(text: str) -> Polynomial:
     values = []
-    any_complex = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -217,17 +217,14 @@ def parse_coefficients(text: str) -> Polynomial:
                 values.append(complex(float(parts[0]), 0.0))
             elif len(parts) == 2:
                 values.append(complex(float(parts[0]), float(parts[1])))
-                any_complex = True
             else:
                 raise ValueError
         except ValueError:
             raise ValueError(f"line {lineno}: expected one or two numbers, got {raw!r}") from None
     if not values:
         raise ValueError("no coefficients found")
-    arr = np.array(values)
-    if not any_complex and np.all(arr.imag == 0.0):
-        arr = arr.real
-    return Polynomial(arr)
+    # Polynomial stores coefficients with no imaginary part as float64
+    return Polynomial(np.array(values))
 
 
 def read_coefficients(path) -> Polynomial:

@@ -131,7 +131,7 @@ class _Representation(NamedTuple):
 
     mantexp: Callable  # coefficient arrays -> state
     step: Callable  # state -> next state, or None when the step is unusable
-    mantissa: Callable  # state -> complex mantissas for the hull
+    mantissa: Callable  # state -> mantissas for the hull
     log2_error: Callable  # (state, hull vertices) -> ordinate error bound
 
 

@@ -348,6 +348,56 @@ class TestGraeffeParity:
         assert np.allclose(me_value_log2(m, e), want, rtol=0, atol=1e-8)
 
 
+class TestRealMantissas:
+    """Real coefficients stay float64 through ``mantexp`` and the step.
+
+    The float64 path must give the same bits as the complex one with zero
+    imaginary parts, which the step squares in float64 as well.
+    """
+
+    def test_mantexp_dtypes(self):
+        c = np.array([3.0, 0.0, -0.75, 1e-300])
+        m, e = _kernels.mantexp(c)
+        assert m.dtype == np.float64 and e.dtype == np.int64
+        mc, ec = _kernels.mantexp(c.astype(complex))
+        assert mc.dtype == np.complex128
+        assert np.array_equal(m, mc) and np.array_equal(e, ec)
+        assert np.array_equal(m, [1.5, 0.0, -1.5, 1e-300 * 2.0**997])
+        assert np.array_equal(e, [1, 0, -1, -997])
+
+    def assert_steps_match(self, rng, n):
+        c = rng.standard_normal(n + 1) * 2.0 ** rng.integers(-40, 41, n + 1)
+        c[rng.integers(0, n + 1)] = 0.0
+        m, e = _kernels.mantexp(c)
+        mc, ec = _kernels.mantexp(c.astype(complex))
+        for _ in range(8):
+            m, e = _kernels.graeffe_step_me(m, e)
+            mc, ec = _kernels.graeffe_step_me(mc, ec)
+            assert m.dtype == np.float64, n
+            assert np.array_equal(m, mc) and np.array_equal(e, ec), n
+
+    def test_steps_match_complex_typed(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        sizes = list(range(1, 41)) + [64, 65, 513]
+        for n in sizes:
+            self.assert_steps_match(rng, n)
+        monkeypatch.setattr(_kernels, "_BLOCK", 97)
+        for n in sizes:
+            self.assert_steps_match(rng, n)
+
+    def test_read_only_inputs(self):
+        rng = np.random.default_rng(15)
+        for c in (rng.standard_normal(20), rng.standard_normal(20) + 1j * rng.standard_normal(20)):
+            m, e = _kernels.mantexp(c)
+            want_m, want_e = _kernels.graeffe_step_me(m, e)
+            m0, e0 = m.copy(), e.copy()
+            m.setflags(write=False)
+            e.setflags(write=False)
+            got_m, got_e = _kernels.graeffe_step_me(m, e)
+            assert np.array_equal(got_m, want_m) and np.array_equal(got_e, want_e)
+            assert np.array_equal(m, m0) and np.array_equal(e, e0)
+
+
 class TestDurandKernerParity:
     def test_converged_root_sets_match(self):
         # the oracle's sweep against LAPACK companion-matrix eigenvalues

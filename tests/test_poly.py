@@ -166,6 +166,17 @@ class TestGraeffeStep:
                 got = rr.graeffe_step(Polynomial(c)).coeffs
                 assert np.array_equal(np.asarray(got, dtype=np.complex128), want)
 
+    def test_real_input_matches_complex_typed_kernel(self):
+        # real coefficients reach the kernel as float64; the result is the
+        # complex-typed kernel's, and real
+        rng = np.random.default_rng(44)
+        for n in range(1, 33):
+            c = rng.standard_normal(n + 1) * 2.0 ** rng.integers(-300, 301, n + 1)
+            m, e = _kernels.graeffe_step_me(*_kernels.mantexp(c.astype(complex)))
+            got = rr.graeffe_step(Polynomial(c)).coeffs
+            assert got.dtype == np.float64
+            assert np.array_equal(got, np.ldexp(m.real, e)) and not m.imag.any()
+
     def test_wide_range_keeps_both_ends(self):
         q = rr.graeffe_step(Polynomial([1e100, 1e-100]))
         assert np.array_equal(q.coeffs, [-1e200, 1e-200])
