@@ -20,6 +20,8 @@ column ``t`` of a block pairs ``i = j - t`` with ``k = j + t``, both read
 through read-only strided windows on one zero-padded buffer per operand, so a
 block costs a fixed number of array operations and each of its temporaries
 holds at most ``_BLOCK`` entries (256 KiB of float64) whatever the degree.
+A radii query keeps the buffers and windows in one ``Workspace`` for all
+its squarings, which then only copy their input in.
 """
 
 import numpy as np
@@ -43,20 +45,20 @@ def horner_pair(coeffs, x):
     return b, d
 
 
-def mantexp(c, e=0):
+def mantexp(c, e=np.int64(0)):
     """Split ``c_i * 2**e_i = m_i * 2**f_i`` with ``|m_i| in [1, 2)``; returns ``(m, f)``.
 
-    ``m`` is float64 for real ``c``.  Zeros get ``m_i = f_i = 0``.  The scaling is exact.
+    ``c`` is a float64 or complex128 array, and ``m`` keeps its dtype.  Zeros
+    get ``m_i = f_i = 0``.  The scaling is exact.
     """
-    c = np.asarray(c)
-    if not np.iscomplexobj(c):
-        m, ex = np.frexp(c.astype(np.float64, copy=False))
-        return 2.0 * m, np.where(c != 0, e + ex - 1, 0).astype(np.int64)
+    if c.dtype.kind != "c":
+        m, ex = np.frexp(c)
+        return 2.0 * m, np.where(c != 0, e + ex - 1, 0)
     _, ex = np.frexp(np.abs(c))
     m = np.empty(c.shape, dtype=np.complex128)
     m.real = np.ldexp(c.real, 1 - ex)
     m.imag = np.ldexp(c.imag, 1 - ex)
-    return m, np.where(c != 0, e + ex - 1, 0).astype(np.int64)
+    return m, np.where(c != 0, e + ex - 1, 0)
 
 
 _BLOCK = 2**15
@@ -65,7 +67,32 @@ _BLOCK = 2**15
 _ZERO_EXP = -(2**61)
 
 
-def graeffe_step_me(m, e):
+class Workspace:
+    """The buffers of ``graeffe_step_me`` for one degree and dtype, kept between steps.
+
+    A step refits a workspace of another degree or dtype first; otherwise it
+    only copies its input into the padded buffers.
+    """
+
+    key = None
+
+    def fit(self, n, dtype):
+        # zero-padded halves of length L: coefficient i sits at T + i of the plain
+        # one and at L - 1 - T - i of the reversed one, which carries the sign
+        # (-1)**i.  Row r of a window reads buf[r:r + T]
+        T = n // 2 + 1
+        L = n + 1 + 2 * T
+        bm, be = np.zeros(2 * L, dtype=dtype), np.full(2 * L, _ZERO_EXP)
+        wm, we = (np.ndarray((2 * L - T + 1, T), x.dtype, x, 0, 2 * x.strides) for x in (bm, be))
+        wm.flags.writeable = we.flags.writeable = False
+        rm = bm[L - 1 - T::-1][:n + 1]  # the reversed half in index order
+        self.key = (n, dtype)
+        self.parts = (T, L, wm, we, bm[L + T:2 * L - T], be[L + T:2 * L - T], rm,
+                      be[L - 1 - T::-1][:n + 1], rm[1::2],
+                      np.empty(n + 1, dtype=dtype), np.empty(n + 1, dtype=np.int64))
+
+
+def graeffe_step_me(m, e, ws=None):
     """One step ``q(x**2) = (-1)**n p(x) p(-x)`` on ``c_i = m_i * 2**e_i``.
 
     Output ``j`` sums ``(-1)**i m_i m_k`` over the pairs ``i + k = 2j``.  Its
@@ -74,27 +101,26 @@ def graeffe_step_me(m, e):
     the float64 exponent bits, and becomes 0 below ``2**-1022``.  The sum is
     the ``i = j`` term plus twice the pairwise sum of the pairs ``i < j``,
     which come in both orders.  The sums are then renormalized together to
-    ``|m| in [1, 2)``.  Real mantissas are squared and returned in float64.
+    ``|m| in [1, 2)``.  Real mantissas are squared and returned in float64,
+    also when they come complex-typed.  A query passes one ``Workspace``
+    ``ws`` to all its steps; without it the step builds its own buffers.
     """
     n = len(m) - 1
-    if np.iscomplexobj(m) and not m.imag.any():
+    if m.dtype.kind == "c" and not m.imag.any():
         m = m.real
-    T = n // 2 + 1
-    # zero-padded halves of length L: coefficient i sits at T + i of the plain one
-    # and at L - 1 - T - i of the reversed one, which carries the sign (-1)**i.  Row r
-    # of a window reads buf[r:r + T]; column j starts at L - 1 - T - j for i, L + T + j for k
-    L = n + 1 + 2 * T
-    bm, be = np.zeros(2 * L, dtype=m.dtype), np.full(2 * L, _ZERO_EXP)
-    bm[L + T:-T], be[L + T:-T] = m, np.where(m != 0, e, _ZERO_EXP)
-    bm[:L], be[:L] = bm[L:][::-1], be[L:][::-1]
-    bm[(n + T + 1) % 2:L:2] *= -1
-    wm, we = (np.ndarray((2 * L - T + 1, T), x.dtype, x, 0, 2 * x.strides) for x in (bm, be))
-    wm.flags.writeable = we.flags.writeable = False
-    acc, top = np.empty(n + 1, dtype=m.dtype), np.empty(n + 1, dtype=np.int64)
+    if ws is None:
+        ws = Workspace()
+    if ws.key != (n, m.dtype):
+        ws.fit(n, m.dtype)
+    T, L, wm, we, pm, pe, rm, re, signs, acc, top = ws.parts
+    pm[...] = rm[...] = m
+    signs *= -1
+    pe[...] = re[...] = np.where(m != 0, e, _ZERO_EXP)
     rows = max(1, _BLOCK // T)
     for j0 in range(0, n + 1, rows):
         j1 = min(j0 + rows, n + 1)
         w = min(j1 - 1, n - j0) + 1  # the block's longest column
+        # column j starts at L - 1 - T - j for i, L + T + j for k
         ri, rk = slice(L - 1 - T - j0, L - 1 - T - j1, -1), slice(L + T + j0, L + T + j1)
         ex = we[ri, :w] + we[rk, :w]
         top[j0:j1] = ex.max(axis=1)

@@ -135,16 +135,22 @@ class _Representation(NamedTuple):
     log2_error: Callable  # (state, hull vertices) -> ordinate error bound
 
 
-def _float_step(m, e):
-    m2, e2 = _kernels.graeffe_step_me(m, e)
+def _float_step(ws, m, e):
+    m2, e2 = _kernels.graeffe_step_me(m, e, ws)
     if np.isfinite(m2).all() and m2[0] != 0 and m2[-1] != 0:
-        return m2, e2
+        return ws, m2, e2
     return None
 
 
-# the float engine counts no rounding: eps = 0 gives the exact-arithmetic
-# factor (2n)**(2**-k)
-_FLOAT = _Representation(_kernels.mantexp, _float_step, lambda m, e: m, lambda state, hull: 0.0)
+# one workspace per query, whose padded buffers every squaring reuses; the
+# float engine counts no rounding: eps = 0 gives the exact-arithmetic factor
+# (2n)**(2**-k)
+_FLOAT = _Representation(
+    lambda c: (_kernels.Workspace(), *_kernels.mantexp(c)),
+    _float_step,
+    lambda ws, m, e: m,
+    lambda state, hull: 0.0,
+)
 
 # distance queries start at max(128, 16n) bits and give up past this many
 _MAX_BITS = 2**13

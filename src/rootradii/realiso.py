@@ -110,6 +110,11 @@ def candidate_intervals(radii: RadiiEstimate):
     order; intervals that merely overlap or nearly coincide are all kept, as
     their endpoints may bracket different roots.
     """
+    return [IsolationInterval(lo, hi, "candidate") for lo, hi in _candidates(radii)]
+
+
+def _candidates(radii: RadiiEstimate):
+    """``candidate_intervals`` as sorted ``(lo, hi)`` float pairs."""
     fac = radii.rel_factor
     out = set()
     for r in radii.radii.tolist():
@@ -118,24 +123,21 @@ def candidate_intervals(radii: RadiiEstimate):
         else:
             out.add((r / fac, r * fac))
             out.add((-r * fac, -r / fac))
-    return [IsolationInterval(lo, hi, "candidate") for lo, hi in sorted(out)]
-
-
-def _distinct_endpoints(intervals):
-    """The sorted distinct endpoints, and per interval the indices of its ``lo`` and ``hi``."""
-    xs, idx = np.unique([t for iv in intervals for t in (iv.lo, iv.hi)], return_inverse=True)
-    return xs, idx.reshape(-1, 2).tolist()
+    return sorted(out)
 
 
 def _select(p: Polynomial, candidates):
-    """Sign-test every candidate interval, evaluating each distinct endpoint once.
+    """Sign-test every ``(lo, hi)`` candidate, evaluating each distinct endpoint once.
 
     Returns (selected sign-change intervals, exact-zero degenerate intervals,
-    overflow-suspect intervals, number of sign evaluations).
+    overflow-suspect intervals, number of sign evaluations); only these
+    become ``IsolationInterval`` records.
     """
     if not candidates:
         return [], [], [], 0
-    xs, ends = _distinct_endpoints(candidates)
+    # the sorted distinct endpoints, and per candidate the indices of both
+    xs, ends = np.unique(candidates, return_inverse=True)
+    ends = ends.reshape(-1, 2).tolist()
     with np.errstate(over="ignore", invalid="ignore"):
         vals = _kernels.horner_points(p.coeffs, xs)
     finite = np.isfinite(vals).tolist()
@@ -146,9 +148,9 @@ def _select(p: Polynomial, candidates):
     zeros = []
     suspects = []
     seen_zero = set()
-    for iv, (i_lo, i_hi) in zip(candidates, ends):
+    for (lo, hi), (i_lo, i_hi) in zip(candidates, ends):
         if not (finite[i_lo] and finite[i_hi]):
-            suspects.append(IsolationInterval(iv.lo, iv.hi, "suspect_ill_conditioned"))
+            suspects.append(IsolationInterval(lo, hi, "suspect_ill_conditioned"))
             continue
         hit = False
         for idx in (i_lo, i_hi):
@@ -159,7 +161,7 @@ def _select(p: Polynomial, candidates):
         if hit:
             continue
         if signs[i_lo] * signs[i_hi] < 0:
-            selected.append(IsolationInterval(iv.lo, iv.hi, "sign_change"))
+            selected.append(IsolationInterval(lo, hi, "sign_change"))
     return selected, zeros, suspects, len(xs)
 
 
@@ -172,7 +174,7 @@ def select_sign_change_intervals(p: Polynomial, candidates):
     suspect instead of aborting.
     """
     _require_real(p)
-    selected, zeros, suspects, _ = _select(p, candidates)
+    selected, zeros, suspects, _ = _select(p, [(iv.lo, iv.hi) for iv in candidates])
     return selected + zeros + suspects
 
 
@@ -297,19 +299,14 @@ def narrow_root_ranges(p: Polynomial):
 
 
 def _clip_to_ranges(candidates, pos_range, neg_range):
-    """Clip each candidate to the root range of its sign; candidates never straddle 0."""
+    """Clip each ``(lo, hi)`` candidate, which never straddles 0, to its sign's root range."""
     out = []
-    for iv in candidates:
-        if iv.lo == iv.hi == 0.0:
-            out.append(iv)
-            continue
-        rng = pos_range if iv.lo >= 0.0 else neg_range
-        if rng is None:
-            continue
-        lo = max(iv.lo, rng[0])
-        hi = min(iv.hi, rng[1])
-        if lo <= hi:
-            out.append(IsolationInterval(lo, hi, iv.status))
+    for lo, hi in candidates:
+        rng = (0.0, 0.0) if lo == hi == 0.0 else pos_range if lo >= 0.0 else neg_range
+        if rng is not None:
+            lo, hi = max(lo, rng[0]), min(hi, rng[1])
+            if lo <= hi:
+                out.append((lo, hi))
     return out
 
 
@@ -336,8 +333,9 @@ def isolate_real_roots(p: Polynomial, cfg: IsolatorConfig = None) -> RealIsolati
     the root ranges are sign-tested once, and each sign-change interval is
     refined with an even share of ``work_budget`` (at least 8 evaluations).
     Suspects are the candidates whose sign test overflowed and the intervals
-    whose refinement ran out of budget.  Converged roots agreeing within
-    ``2**(1-b)`` relative are merged.
+    whose refinement ran out of budget.  Converged roots within ``2**(1-b) *
+    max(1, |x|)`` of each other are merged, keeping the smaller residual:
+    below 1 the tolerance is absolute, so roots that close to 0 become one.
     """
     cfg = cfg or IsolatorConfig()
     _require_real(p)
@@ -349,7 +347,7 @@ def isolate_real_roots(p: Polynomial, cfg: IsolatorConfig = None) -> RealIsolati
 
     pos_range, neg_range = narrow_root_ranges(p)
     est = refined_radii(p, _RADII_TARGET)
-    cands = _clip_to_ranges(candidate_intervals(est), pos_range, neg_range)
+    cands = _clip_to_ranges(_candidates(est), pos_range, neg_range)
     selected, zeros, suspects, nevals = _select(p, cands)
     stats.update(squarings=est.squarings_used, sign_evals=nevals)
     roots = [RealRoot(z.lo, 0.0, 0.0, z) for z in zeros]

@@ -398,6 +398,68 @@ class TestRealMantissas:
             assert np.array_equal(m, m0) and np.array_equal(e, e0)
 
 
+class TestWorkspace:
+    """Squarings through one ``Workspace`` give the bits of fresh buffers.
+
+    The radii engine passes one workspace to every squaring of a query.  The
+    reused buffers must give the same mantissa and exponent bits, zero signs
+    included, and the same dtype as a step that builds its own.
+    """
+
+    @staticmethod
+    def same_bits(a, b):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def assert_reuse_matches(self, c, steps=8):
+        m, e = _kernels.mantexp(c)
+        m0, e0 = m.copy(), e.copy()
+        m.setflags(write=False)
+        e.setflags(write=False)
+        ws = _kernels.Workspace()
+        fm, fe = wm, we = m, e
+        for _ in range(steps):
+            fm, fe = _kernels.graeffe_step_me(fm, fe)
+            wm, we = _kernels.graeffe_step_me(wm, we, ws)
+            assert self.same_bits(wm, fm) and self.same_bits(we, fe), len(c)
+            assert not ws.parts[2].flags.writeable and not ws.parts[3].flags.writeable
+        assert np.array_equal(m, m0) and np.array_equal(e, e0)
+        return ws
+
+    def cases(self, rng, n):
+        c = rng.standard_normal(n + 1) * 2.0 ** rng.integers(-40, 41, n + 1)
+        c[rng.integers(0, n + 1)] = 0.0
+        return c, c + 1j * rng.standard_normal(n + 1)
+
+    def test_reuse_matches_fresh_buffers(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        sizes = list(range(1, 41)) + [64, 65, 129, 513]
+        for n in sizes:
+            for c in self.cases(rng, n):
+                self.assert_reuse_matches(c)
+        monkeypatch.setattr(_kernels, "_BLOCK", 97)
+        for n in sizes:
+            for c in self.cases(rng, n):
+                self.assert_reuse_matches(c)
+
+    def test_x_to_the_4_minus_1(self):
+        # every odd column sums to zero, so zero signs reach the outputs
+        self.assert_reuse_matches(np.array([-1.0, 0.0, 0.0, 0.0, 1.0]))
+        self.assert_reuse_matches(np.array([-1.0, 0.0, 0.0, 0.0, 1.0], dtype=complex))
+
+    def test_iterate_turning_real_switches_dtype_once(self, monkeypatch):
+        # x - i squares to -(x**2 + 1): from then on the step runs in float64
+        fits = []
+        fit = _kernels.Workspace.fit
+
+        def counted_fit(ws, n, dtype):
+            fits.append((ws, dtype))
+            fit(ws, n, dtype)
+
+        monkeypatch.setattr(_kernels.Workspace, "fit", counted_fit)
+        ws = self.assert_reuse_matches(np.array([-1j, 1.0]))
+        assert [dt for w, dt in fits if w is ws] == [np.complex128, np.float64]
+
+
 class TestDurandKernerParity:
     def test_converged_root_sets_match(self):
         # the oracle's sweep against LAPACK companion-matrix eigenvalues

@@ -4,7 +4,7 @@
 and ``stagebench/run.py`` times a set-up probe that calls ``warmup``.  A
 renamed or bypassed layer would not fail the benchmark: its span would just
 read zero.  These tests run the benchmark's own code and check that it sees
-the complex path's layers.  The harness's self-tests also build result
+the layers of both paths.  The harness's self-tests also build result
 records by position, so they run here too.
 """
 
@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 import rootradii as rr
-from rootradii import complexiso
+from rootradii import complexiso, realiso
 
 STAGEBENCH = Path(__file__).resolve().parent.parent / "stagebench"
 SRC = Path(rr.__file__).resolve().parent.parent
@@ -34,6 +34,24 @@ def test_traced_complex_isolation_calls_every_complex_layer(monkeypatch, sect5):
         "_dd.taylor_shift_dd",
         "_dd.graeffe_step_me_dd",
         "complexiso.distances_from_point",
+    ):
+        assert tracer.calls[name] > 0, name
+    assert tracer.counts["squarings_done"] > 0
+
+
+def test_traced_real_isolation_calls_every_real_layer(monkeypatch, sect5):
+    monkeypatch.syspath_prepend(str(STAGEBENCH))
+    import tracing
+
+    tracer = tracing.Tracer()
+    with tracing.traced(tracer):
+        res = realiso.isolate_real_roots(sect5)
+    assert res.roots
+    for name in (
+        "realiso.refined_radii",
+        "_kernels.graeffe_step_me",
+        "_kernels.horner_points",
+        "_kernels.horner_pair",
     ):
         assert tracer.calls[name] > 0, name
     assert tracer.counts["squarings_done"] > 0
