@@ -48,7 +48,7 @@ def cmd_radii(args):
 
 def cmd_isolate_real(args):
     p = read_coefficients(args.input)
-    cfg = IsolatorConfig(precision_bits=args.bits, work_budget=args.budget)
+    cfg = IsolatorConfig(precision_bits=args.bits)
     result = isolate_real_roots(p, cfg)
     print(
         json.dumps(
@@ -144,7 +144,6 @@ def build_parser():
     ir = sub.add_parser("isolate-real", help="isolate and refine the real roots")
     ir.add_argument("input")
     ir.add_argument("--bits", type=int, default=27)
-    ir.add_argument("--budget", type=int, default=4096)
     ir.set_defaults(func=cmd_isolate_real)
 
     ic = sub.add_parser("isolate-complex", help="isolate complex roots (randomized)")

@@ -11,7 +11,8 @@ The three stages:
    roots lies inside such an interval);
 3. each selected interval is refined in rounds of up to three Newton steps
    from the bracket's midpoint, cut short when an iterate leaves the bracket
-   or the derivative is tiny or not finite, each round ending in a bisection.
+   or the derivative is tiny or not finite, each round ending in a bisection,
+   until it converges or a round leaves the bracket unchanged (a suspect).
 
 Only simple, well-isolated real roots are found this way: an even-multiplicity
 root never produces a sign change and is invisible by design.
@@ -46,27 +47,20 @@ _RADII_TARGET = 0.001
 
 @dataclass(frozen=True)
 class IsolatorConfig:
-    """Tuning knobs for the isolation pipeline; every refined root is returned.
+    """The isolation pipeline's one setting: the precision of refined roots.
 
     ``precision_bits``, from 1 to 52, sets the target relative error
-    ``1/2**precision_bits`` of refined roots.  ``work_budget`` is the
-    refinement effort, counted in polynomial evaluations (a Newton step costs
-    two, a bisection one), shared evenly by the sign-change intervals.  Each
-    interval gets at least 8, so it is not a hard cap on the total.
+    ``1/2**precision_bits`` of refined roots.
     """
 
     precision_bits: int = 27
-    work_budget: int = 4096
 
     def __post_init__(self):
-        for name in ("precision_bits", "work_budget"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer")
+        if not isinstance(self.precision_bits, numbers.Integral):
+            raise ValueError("precision_bits must be an integer")
         # past the float64 mantissa the refinement's stop test cannot be met
         if not 1 <= self.precision_bits <= 52:
             raise ValueError("precision_bits must be in [1, 52]")
-        if self.work_budget <= 0:
-            raise ValueError("work_budget must be positive")
 
 
 @dataclass(frozen=True)
@@ -178,11 +172,13 @@ def select_sign_change_intervals(p: Polynomial, candidates):
     return selected + zeros + suspects
 
 
-def _refine(p: Polynomial, iv: IsolationInterval, cfg: IsolatorConfig, budget: int):
-    """Bracketed Newton refinement of one sign-change interval.
+def _refine(p: Polynomial, iv: IsolationInterval, cfg: IsolatorConfig):
+    """Bracketed Newton refinement of one sign-change interval with finite ends.
 
     Returns (RealRoot | suspect IsolationInterval, newton_steps, rounds).
     Raises ValueError unless the endpoint values differ in sign or one is 0.
+    A round depends only on the bracket, and the bracket only shrinks, so the
+    loop ends: by the stop test, or on a round that leaves it unchanged.
     """
     c = p.coeffs.tolist()
     tol_bits = 2.0**-cfg.precision_bits
@@ -197,7 +193,6 @@ def _refine(p: Polynomial, iv: IsolationInterval, cfg: IsolatorConfig, budget: i
     lo, hi = float(iv.lo), float(iv.hi)
     flo, _ = _kernels.horner_pair(c, lo)
     fhi, _ = _kernels.horner_pair(c, hi)
-    evals = 2
     if flo == 0.0:
         return root(lo), 0, 0
     if fhi == 0.0:
@@ -206,14 +201,14 @@ def _refine(p: Polynomial, iv: IsolationInterval, cfg: IsolatorConfig, budget: i
         raise ValueError(f"p has no sign change on [{lo!r}, {hi!r}]")
     slo = math.copysign(1.0, flo)
 
-    y = 0.5 * (lo + hi)
+    y = 0.5 * lo + 0.5 * hi  # lo + hi may overflow
     steps = 0
     rounds = 0
-    while evals < budget:
+    while True:
         rounds += 1
+        bracket = (lo, hi)
         for _ in range(3):
             f, df = _kernels.horner_pair(c, y)
-            evals += 2
             steps += 1
             if f == 0.0:
                 return root(y), steps, rounds
@@ -229,23 +224,20 @@ def _refine(p: Polynomial, iv: IsolationInterval, cfg: IsolatorConfig, budget: i
             if abs(y_next - y) < tol_bits * max(1.0, abs(y_next)):
                 return converged(y_next, 2.0 * abs(y_next - y)), steps + 1, rounds
             y = y_next
-        else:  # three steps stayed in the bracket
-            if evals >= budget:
-                break
         # one bisection step, keep the half with the sign change
-        m = 0.5 * (lo + hi)
+        m = 0.5 * lo + 0.5 * hi
         fm, _ = _kernels.horner_pair(c, m)
-        evals += 1
         if fm == 0.0:
             return root(m), steps, rounds
         if math.copysign(1.0, fm) == slo:
             lo = m
         else:
             hi = m
-        y = 0.5 * (lo + hi)
+        y = 0.5 * lo + 0.5 * hi
         if hi - lo < tol_bits * max(1.0, abs(y)):
             return converged(y, hi - lo), steps, rounds
-    return IsolationInterval(lo, hi, "suspect_ill_conditioned"), steps, rounds
+        if (lo, hi) == bracket:
+            return IsolationInterval(lo, hi, "suspect_ill_conditioned"), steps, rounds
 
 
 def refine_interval(p: Polynomial, iv: IsolationInterval, cfg: IsolatorConfig = None):
@@ -254,14 +246,16 @@ def refine_interval(p: Polynomial, iv: IsolationInterval, cfg: IsolatorConfig = 
     A round's Newton steps start at the bracket's midpoint and end early when
     an iterate leaves the bracket or the derivative is tiny or not finite.
     Stops when successive iterates, or the bracket's ends, differ by less than
-    ``2**-precision_bits * max(1, |y|)``; if the evaluation budget runs out
-    first, the (shrunken) interval comes back with status
-    ``suspect_ill_conditioned``.  Raises ValueError unless the values at the
-    endpoints differ in sign or one of them is 0.
+    ``2**-precision_bits * max(1, |y|)``.  A round that moves neither end
+    (in practice two adjacent floats that still miss the stop test, with
+    Newton declining) would repeat forever, so the bracket then comes back
+    with status ``suspect_ill_conditioned``.  Raises ValueError unless both
+    endpoints are finite and their values differ in sign or one of them is 0.
     """
     _require_real(p)
-    cfg = cfg or IsolatorConfig()
-    result, _, _ = _refine(p, iv, cfg, cfg.work_budget)
+    if not (math.isfinite(iv.lo) and math.isfinite(iv.hi)):
+        raise ValueError("interval endpoints must be finite")
+    result, _, _ = _refine(p, iv, cfg or IsolatorConfig())
     return result
 
 
@@ -331,9 +325,9 @@ def isolate_real_roots(p: Polynomial, cfg: IsolatorConfig = None) -> RealIsolati
 
     The radii are estimated within ``1 + 1e-3``, the candidates clipped to
     the root ranges are sign-tested once, and each sign-change interval is
-    refined with an even share of ``work_budget`` (at least 8 evaluations).
-    Suspects are the candidates whose sign test overflowed and the intervals
-    whose refinement ran out of budget.  Converged roots within ``2**(1-b) *
+    refined until it converges or a round moves neither end.  Suspects are
+    the candidates whose sign test overflowed and the brackets whose
+    refinement stalled that way.  Converged roots within ``2**(1-b) *
     max(1, |x|)`` of each other are merged, keeping the smaller residual:
     below 1 the tolerance is absolute, so roots that close to 0 become one.
     """
@@ -351,9 +345,8 @@ def isolate_real_roots(p: Polynomial, cfg: IsolatorConfig = None) -> RealIsolati
     selected, zeros, suspects, nevals = _select(p, cands)
     stats.update(squarings=est.squarings_used, sign_evals=nevals)
     roots = [RealRoot(z.lo, 0.0, 0.0, z) for z in zeros]
-    per_budget = max(8, math.ceil(cfg.work_budget / max(1, len(selected))))
     for iv in selected:
-        got, steps, rounds = _refine(p, iv, cfg, per_budget)
+        got, steps, rounds = _refine(p, iv, cfg)
         stats["newton_steps"] += steps
         stats["max_newton_rounds"] = max(stats["max_newton_rounds"], rounds)
         if isinstance(got, RealRoot):

@@ -12,6 +12,22 @@ from rootradii.realiso import IsolationInterval, IsolatorConfig
 from conftest import SECT5_REAL_ROOTS, random_real_poly
 
 
+# 1e-305 * (x**2 - (1 + 2**-52)): p' stays below _DERIV_FLOOR on [1, 2]
+STALLING = Polynomial([-1e-305 * (1 + 2**-52), 0.0, 1e-305])
+
+
+def bisected_sqrt2():
+    # oracle: plain interval bisection, independent of the Newton path
+    lo, hi = 1.0, 2.0
+    for _ in range(200):
+        m = 0.5 * (lo + hi)
+        if m * m - 2.0 > 0:
+            hi = m
+        else:
+            lo = m
+    return 0.5 * (lo + hi)
+
+
 def sect5_candidates(sect5):
     return rr.candidate_intervals(rr.refined_radii(sect5, 0.001))
 
@@ -106,7 +122,7 @@ class TestRefineInterval:
         cfg = IsolatorConfig()
         from rootradii.realiso import _refine
 
-        root, _, rounds = _refine(sect5, iv, cfg, cfg.work_budget)
+        root, _, rounds = _refine(sect5, iv, cfg)
         assert abs(root.value - -1.65062919) < 1e-7
         assert rounds <= 3
 
@@ -121,18 +137,9 @@ class TestRefineInterval:
             rr.refine_interval(Polynomial(coeffs), IsolationInterval(lo, hi))
 
     def test_sqrt2_to_forty_bits(self):
-        # oracle: plain interval bisection, independent of the Newton path
-        lo, hi = 1.0, 2.0
-        for _ in range(200):
-            m = 0.5 * (lo + hi)
-            if m * m - 2.0 > 0:
-                hi = m
-            else:
-                lo = m
-        sqrt2 = 0.5 * (lo + hi)
         cfg = IsolatorConfig(precision_bits=40)
         root = rr.refine_interval(Polynomial([-2.0, 0.0, 1.0]), IsolationInterval(1.0, 2.0, "sign_change"), cfg)
-        assert abs(root.value - sqrt2) <= 2.0**-40 * 2
+        assert abs(root.value - bisected_sqrt2()) <= 2.0**-40 * 2
 
     def test_overflowing_derivative_bisects(self):
         # Re p of two degree-512 family cells: near x = 4 the derivative
@@ -150,12 +157,28 @@ class TestRefineInterval:
                 assert x.width > 0 or x.residual == 0, x
                 assert np.min(np.abs(eig - x.value)) <= 1e-7 * max(1.0, abs(x.value)), x
 
-    def test_budget_exhaustion_returns_suspect(self):
-        cfg = IsolatorConfig(precision_bits=50, work_budget=6)
-        out = rr.refine_interval(Polynomial([-2.0, 0.0, 1.0]), IsolationInterval(1.0, 2.0, "sign_change"), cfg)
-        assert isinstance(out, IsolationInterval)
-        assert out.status == "suspect_ill_conditioned"
-        assert 1.0 <= out.lo <= out.hi <= 2.0
+    def test_stalled_refinement_returns_suspect(self):
+        # the derivative stays below _DERIV_FLOOR, so every round bisects; the
+        # bracket stalls at two adjacent floats that miss the 52-bit stop test
+        cfg = IsolatorConfig(precision_bits=52)
+        out = rr.refine_interval(STALLING, IsolationInterval(1.0, 2.0, "sign_change"), cfg)
+        assert out == IsolationInterval(1.0, 1.0000000000000002, "suspect_ill_conditioned")
+
+    def test_sqrt2_from_a_bracket_to_1e300(self):
+        # about 370 rounds of bisection: a cap on the rounds would return a suspect
+        root = rr.refine_interval(Polynomial([-2.0, 0.0, 1.0]), IsolationInterval(1.0, 1e300))
+        assert abs(root.value - bisected_sqrt2()) <= 2.0**-27
+
+    def test_midpoint_near_float_max(self):
+        # 0.5 * (lo + hi) overflows here
+        root = rr.refine_interval(Polynomial([-1.5e308, 1.0]), IsolationInterval(1e308, 1.7e308))
+        assert root.value == 1.5e308
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, math.inf)])
+    def test_non_finite_endpoint_rejected(self, lo, hi):
+        # with a nan midpoint the bracket never repeats, so the refinement would not end
+        with pytest.raises(ValueError, match="must be finite"):
+            rr.refine_interval(Polynomial([0.0, 1.0]), IsolationInterval(lo, hi))
 
 
 @pytest.mark.parametrize(
@@ -252,23 +275,18 @@ class TestIsolateRealRoots:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"work_budget": math.nan},
-            {"work_budget": math.inf},
-            {"work_budget": 0.5},
-            {"work_budget": 4096.0},
             {"precision_bits": 27.5},
             {"precision_bits": math.nan},
         ],
         ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()),
     )
     def test_non_integer_settings_rejected(self, kwargs):
-        # a nan or inf budget used to fail later, inside the refinement
         (name,) = kwargs
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             IsolatorConfig(**kwargs)
 
     def test_numpy_integer_settings_accepted(self):
-        cfg = IsolatorConfig(precision_bits=np.int64(30), work_budget=np.int32(512))
+        cfg = IsolatorConfig(precision_bits=np.int64(30))
         res = rr.isolate_real_roots(Polynomial([-2.0, 0.0, 1.0]), cfg)
         assert len(res.roots) == 2
 
@@ -348,14 +366,10 @@ class TestIsolateRealRoots:
         assert [r.value for r in roots[-2:]] == [1.0, 1.0]
         for r in roots:
             assert type(r.value) is type(r.width) is type(r.residual) is float, r
-        # suspects of a starved refinement, whose endpoints are Newton iterates
-        triple = Polynomial([-1.0, 3.0, -3.0, 1.0])
-        cfg = IsolatorConfig(work_budget=16, precision_bits=40)
-        suspects = list(rr.isolate_real_roots(triple, cfg).suspects)
-        assert len(suspects) == 3
-        x2_minus_2 = Polynomial([-2.0, 0.0, 1.0])
-        starved = IsolatorConfig(work_budget=4)
-        suspects.append(rr.refine_interval(x2_minus_2, IsolationInterval(1.0, 2.0), starved))
+        # a stalled refinement, and a sign test that overflows near the root 1e300
+        suspects = [rr.refine_interval(STALLING, IsolationInterval(1.0, 2.0), IsolatorConfig(precision_bits=52))]
+        suspects += rr.isolate_real_roots(Polynomial([1.0, -1e300, 1.0])).suspects
+        assert len(suspects) == 2
         for s in suspects:
             assert s.status == "suspect_ill_conditioned"
             assert type(s.lo) is type(s.hi) is float, s
@@ -366,16 +380,13 @@ class TestIsolateRealRoots:
         assert abs(values[0] + 1e8) <= 1e8 * 1e-6
         assert abs(values[1] + 1.0) <= 1e-6
 
-    def test_triple_root_starved_budget_reports_suspect(self):
+    def test_triple_root_inside_noise_band(self):
         # odd multiplicity gives a sign change but Newton converges only
-        # linearly; a starved budget must surface the interval as suspect
-        # rather than silently dropping it
+        # linearly; anything reported lies inside the double-precision noise
+        # band of the root: |p(v)| ~ eps there for any v within ~(4 eps)**(1/3) of 1
         c = np.convolve(np.convolve([-1.0, 1.0], [-1.0, 1.0]), [-1.0, 1.0])
-        cfg = IsolatorConfig(work_budget=16, precision_bits=40)
-        res = rr.isolate_real_roots(Polynomial(c), cfg)
-        assert len(res.suspects) >= 1
-        # anything reported lies inside the double-precision noise band of the
-        # root: |p(v)| ~ eps there for any v within ~(4 eps)**(1/3) of 1
+        res = rr.isolate_real_roots(Polynomial(c))
+        assert res.roots
         for r in res.roots:
             assert abs(r.value - 1.0) <= 1e-5
         for s in res.suspects:
