@@ -222,7 +222,15 @@ def _refine(p: Polynomial, iv: IsolationInterval, cfg: IsolatorConfig):
             if not (lo <= y_next <= hi):
                 break
             if abs(y_next - y) < tol_bits * max(1.0, abs(y_next)):
-                return converged(y_next, 2.0 * abs(y_next - y)), steps + 1, rounds
+                if y_next != y:
+                    return converged(y_next, 2.0 * abs(y_next - y)), steps + 1, rounds
+                # a step that rounds to nothing would claim width 0: ask for a sign flip
+                nb = math.nextafter(y, hi if y == lo else lo)
+                fnb, _ = _kernels.horner_pair(c, nb)
+                if fnb == 0.0 or math.copysign(1.0, fnb) != math.copysign(1.0, f):
+                    return root(y, 2.0 * abs(nb - y), abs(f)), steps + 1, rounds
+                lo, hi = (nb, hi) if y == lo else (lo, nb)
+                break
             y = y_next
         # one bisection step, keep the half with the sign change
         m = 0.5 * lo + 0.5 * hi
@@ -246,11 +254,12 @@ def refine_interval(p: Polynomial, iv: IsolationInterval, cfg: IsolatorConfig = 
     A round's Newton steps start at the bracket's midpoint and end early when
     an iterate leaves the bracket or the derivative is tiny or not finite.
     Stops when successive iterates, or the bracket's ends, differ by less than
-    ``2**-precision_bits * max(1, |y|)``.  A round that moves neither end
-    (in practice two adjacent floats that still miss the stop test, with
-    Newton declining) would repeat forever, so the bracket then comes back
-    with status ``suspect_ill_conditioned``.  Raises ValueError unless both
-    endpoints are finite and their values differ in sign or one of them is 0.
+    ``2**-precision_bits * max(1, |y|)``; a Newton step that rounds to nothing
+    stops only at a sign flip between the iterate and its float neighbour,
+    which the width then spans.  A round that moves neither end (adjacent
+    floats that miss the stop test, Newton declining) would repeat forever,
+    so the bracket comes back ``suspect_ill_conditioned``.  Raises ValueError
+    unless both ends are finite and their values differ in sign or one is 0.
     """
     _require_real(p)
     if not (math.isfinite(iv.lo) and math.isfinite(iv.hi)):

@@ -164,6 +164,17 @@ class TestRefineInterval:
         out = rr.refine_interval(STALLING, IsolationInterval(1.0, 2.0, "sign_change"), cfg)
         assert out == IsolationInterval(1.0, 1.0000000000000002, "suspect_ill_conditioned")
 
+    def test_newton_step_rounding_to_nothing_spans_a_sign_flip(self):
+        # at 52 bits Newton's last step at sqrt(5) rounds to 0, which used to
+        # report width 0; the width now reaches the float neighbour across
+        # which the computed sign flips
+        p = Polynomial([-5.0, 0.0, 1.0])
+        root = rr.refine_interval(p, IsolationInterval(1.0, 5.0), IsolatorConfig(precision_bits=52))
+        assert root.value == 2.23606797749979
+        assert root.width == 2 * math.ulp(root.value)
+        below, above = root.value - root.width / 2, root.value + root.width / 2
+        assert below * below - 5.0 < 0.0 < above * above - 5.0
+
     def test_sqrt2_from_a_bracket_to_1e300(self):
         # about 370 rounds of bisection: a cap on the rounds would return a suspect
         root = rr.refine_interval(Polynomial([-2.0, 0.0, 1.0]), IsolationInterval(1.0, 1e300))
@@ -359,14 +370,24 @@ class TestIsolateRealRoots:
 
     def test_record_numbers_are_python_floats(self, sect5):
         roots = list(rr.isolate_real_roots(sect5).roots)
-        # an exact zero at an endpoint, and one at a Newton iterate
+        # an exact zero at an endpoint, one at a Newton iterate, and a Newton
+        # step that rounds to nothing, whose width reaches the float neighbour
         x_minus_1 = Polynomial([-1.0, 1.0])
         roots.append(rr.refine_interval(x_minus_1, IsolationInterval(np.float64(1.0), np.float64(2.0))))
         roots.append(rr.refine_interval(x_minus_1, IsolationInterval(0.5, 3.0)))
         assert [r.value for r in roots[-2:]] == [1.0, 1.0]
-        for r in roots:
+        sqrt5 = rr.refine_interval(
+            Polynomial(np.array([-5.0, 0.0, 1.0])), IsolationInterval(np.float64(1.0), np.float64(5.0)),
+            IsolatorConfig(precision_bits=52),
+        )
+        assert sqrt5.width > 0.0
+        for r in roots + [sqrt5]:
             assert type(r.value) is type(r.width) is type(r.residual) is float, r
-        # a stalled refinement, and a sign test that overflows near the root 1e300
+        # a stalled refinement, and a sign test that overflows near the root 1e300.
+        # Both suspects' ends come from bisection or clipping: a bracket stalls
+        # only at [2**k, 2**k + ulp] at 52 bits with Newton declining, and no
+        # input was found whose stalled end is a Newton iterate, so Newton
+        # iterates are checked through the roots above
         suspects = [rr.refine_interval(STALLING, IsolationInterval(1.0, 2.0), IsolatorConfig(precision_bits=52))]
         suspects += rr.isolate_real_roots(Polynomial([1.0, -1e300, 1.0])).suspects
         assert len(suspects) == 2
@@ -392,6 +413,21 @@ class TestIsolateRealRoots:
         for s in res.suspects:
             assert abs(0.5 * (s.lo + s.hi) - 1.0) <= 1e-3
 
+
+    def test_newton_step_rounding_to_nothing_without_a_sign_flip(self):
+        # real-family cell b32-n128-r12-t1: near -0.6088 a Newton step rounds
+        # to 0 where the sign does not flip at the float neighbour, so the
+        # refinement goes on instead of returning a width-0 root
+        from rootradii.bench import cell_seed
+        from rootradii.oracle import generate_family
+
+        p = generate_family(1, 128, 12, cell_seed(32, 128, 12, 1))
+        eig = np.roots(p.coeffs[::-1])
+        res = rr.isolate_real_roots(p)
+        assert any(abs(x.value + 0.6087614290087) < 1e-12 for x in res.roots)
+        for x in res.roots:
+            assert x.width > 0 or x.residual == 0, x
+            assert np.min(np.abs(eig - x.value)) <= 2.0**-26 * max(1.0, abs(x.value)), x
 
     def test_one_pass_covers_every_real_root(self, monkeypatch):
         # real-family case b0-n512-r8-t1: the sign test overflows near 6.787,
