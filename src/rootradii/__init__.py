@@ -2,8 +2,10 @@
 
 Real roots: estimate all root radii by Graeffe squaring plus the Newton
 polygon, turn each radius into two candidate intervals, keep the ones with a
-sign change, refine with bracketed Newton.  Complex roots: intersect three
-families of thin annuli built from root radii of shifted polynomials.
+sign change, refine with bracketed Newton.  Complex roots: Aberth sweeps
+started on the root-radii annuli, certified by Smith's discs; the paper's
+intersection of three families of thin annuli from shifted polynomials stays
+available.
 """
 
 from . import complexiso, oracle, poly, radii, realiso

@@ -92,6 +92,7 @@ def cmd_isolate_complex(args):
                 "phi": result.phi,
                 "separation_bound": result.separation_bound,
                 "separation_bound_n4": result.separation_bound_n4,
+                "stats": result.stats,
             }
         )
     )
@@ -146,7 +147,7 @@ def build_parser():
     ir.add_argument("--bits", type=int, default=27)
     ir.set_defaults(func=cmd_isolate_real)
 
-    ic = sub.add_parser("isolate-complex", help="isolate complex roots (randomized)")
+    ic = sub.add_parser("isolate-complex", help="isolate all complex roots in certified discs")
     ic.add_argument("input")
     ic.add_argument("--rho", type=float, default=1e-3)
     ic.add_argument("--eps", type=float, default=0.05)

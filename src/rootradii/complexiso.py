@@ -1,5 +1,17 @@
-"""Randomized complex-root isolation from three families of thin annuli.
+"""Complex-root isolation: Aberth sweeps from root-radii annuli, checked by Smith's discs.
 
+``isolate_complex_roots`` certifies every root at once.  The root radii at
+the origin group into annuli, and each annulus of multiplicity m gets m
+starting points on its mid-circle.  Aberth's simultaneous iteration moves all
+n points (vectorized sweeps; Bini & Robol, J. Comput. Appl. Math. 2014, start
+MPSolve the same way).  Smith's theorem (J. ACM 17, 1970) then certifies the
+result in O(n**2): every root lies in the union of the discs ``D(z_i, n |W_i|)``
+with ``W_i = p(z_i) / (a_n prod_{j != i}(z_i - z_j))``, and a disc that
+encloses some of them and meets none of the others holds exactly as many roots
+as it encloses discs.  The radii are bounded with every rounding, so each
+returned disc holds exactly its multiplicity, with no failure probability.
+
+The rest of the module is the paper's randomized Algorithm 2, kept as API.
 Distances from a point far outside the root disc to all roots are computable
 (they are the root radii of the shifted polynomial), and each distance pins a
 root to a thin annulus.  A family's annuli all share its shift center.  Two
@@ -15,13 +27,13 @@ bounds the confusion probability for well-separated nodes.
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _kernels
 from .poly import Polynomial, PrecisionLossError, root_radius_upper_bound
-from .radii import choose_iteration_count, distances_from_point
+from .radii import choose_iteration_count, distances_from_point, refined_radii
 
 __all__ = [
     "Annulus",
@@ -270,18 +282,268 @@ def line_disc_intersection_prob(gamma: float, rho_prime: float, dist: float) -> 
     return (2.0 / gamma) * math.atan(rho_prime / dist)
 
 
-def _newton_polish(p: Polynomial, z: complex, steps: int = 4) -> complex:
-    """A few plain complex Newton steps; a convenience, not a certified contraction."""
-    c = np.asarray(p.coeffs, dtype=np.complex128)
-    for _ in range(steps):
-        v, dv = _kernels.horner_pair(c, z)
-        if abs(dv) < 1e-300:
+# unit roundoff of float64
+_U = 2.0**-53
+# the annuli that place the starting points: root radii within 10 %
+_START_TARGET = 0.1
+# a point is frozen once its Aberth step is at most this fraction of it
+_FROZEN = 1e-14
+_MAX_SWEEPS = 200
+# the sweeps end early once, for this many sweeps, no point froze and the
+# largest step of the points still moving did not halve: a cluster's points
+# only wander at the rounding level there
+_STALLED = 10
+# a relative 2**-40 covers the rounding of the last few operations of a
+# Smith radius and of a gap between discs, far above their actual error
+_ROUND_UP = 1.0 + 2.0**-40
+
+
+def _starting_points(q: Polynomial, phi: float) -> np.ndarray:
+    """m points on the mid-circle ``sqrt(inner * outer)`` of each annulus of multiplicity m.
+
+    The annuli are ``_merge_chains`` of ``refined_radii(q, 0.1)``; the k-th
+    annulus's points start at the angle ``phi + 0.7 (k + 1)``.
+    """
+    est = refined_radii(q, _START_TARGET)
+    pts = []
+    for k, a in enumerate(_merge_chains(est.radii, est.rel_factor)):
+        t = np.arange(a.multiplicity)
+        angle = 2.0 * np.pi * t / a.multiplicity + 0.7 * (k + 1) + phi
+        pts.append(math.sqrt(a.inner) * math.sqrt(a.outer) * np.exp(1j * angle))
+    return np.concatenate(pts)
+
+
+def _inverse(z):
+    """``1/z`` and whether ``|z| > 1``, elementwise.
+
+    The reciprocal is ``conj(z) / |z|**2`` after an exact power-of-two scaling
+    of ``z`` to modulus in [0.5, 1), so each part carries a relative error of
+    at most ``(3 + 1e-9) u``.
+    """
+    az = np.abs(z)
+    _, ex = np.frexp(az)
+    zr, zi = np.ldexp(z.real, -ex), np.ldexp(z.imag, -ex)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m2 = zr * zr + zi * zi
+        y = np.ldexp(zr / m2, -ex) - 1j * np.ldexp(zi / m2, -ex)
+    return y, az > 1.0
+
+
+def _horner_at(c, z):
+    """Coefficients (one column per point) and argument at which ``p`` is evaluated at ``z``.
+
+    ``p`` itself where ``|z| <= 1``, and the reversed polynomial at ``1/z``
+    elsewhere, where ``p(z) = z**n rev(1/z)``.  Returns (coefficient matrix,
+    arguments, mask of the points with ``|z| > 1``).
+    """
+    y, far = _inverse(z)
+    cm = np.where(far[None, :], c[::-1, None], c[:, None])
+    return cm, np.where(far, y, z), far
+
+
+def _aberth(c, z):
+    """Vectorized Aberth sweeps on all points of ``z`` (in place) for the coefficients ``c``.
+
+    The Newton quotient ``N = p/p'`` is ``z / (n - y rev'(y)/rev(y))`` with
+    ``y = 1/z`` where ``|z| > 1``.  Every sweep moves each point still active
+    by ``w = N / (1 - N sum_{j != i} 1/(z_i - z_j))``, over all points; a
+    point is frozen once ``|w| <= 1e-14 |z|``, or where ``w`` or the moved
+    point is not finite (it then keeps its last finite place).  Returns the
+    sweeps made and the points frozen.
+    """
+    n = len(c) - 1
+    active = np.arange(n)
+    sweeps = stalled = 0
+    best = math.inf
+    while len(active) and sweeps < _MAX_SWEEPS:
+        za = z[active]
+        cm, x, far = _horner_at(c, za)
+        with np.errstate(all="ignore"):
+            v, d = _kernels.horner_pair(cm, x)
+            ratio = d / v
+            nq = np.where(far, za / (n - x * ratio), 1.0 / ratio)
+            diff = za[:, None] - z[None, :]
+            diff[np.arange(len(active)), active] = np.inf
+            w = nq / (1.0 - nq * (1.0 / diff).sum(axis=1))
+            moved = za - w
+            step = np.abs(w) / np.abs(moved)
+        ok = np.isfinite(moved)
+        z[active[ok]] = moved[ok]
+        done = ~(step > _FROZEN) | ~ok
+        sweeps += 1
+        moving = step[~done]
+        if len(moving):
+            if moving.max() < 0.5 * best or done.any():
+                best, stalled = min(best, moving.max()), 0
+            else:
+                stalled += 1
+                if stalled == _STALLED:
+                    break
+        active = active[~done]
+    return sweeps, n - len(active)
+
+
+def _smith_radii(c, z):
+    """Upper bounds on Smith's radii ``n |p(z_i)| / |a_n prod_{j != i}(z_i - z_j)|``.
+
+    Every rounding is bounded (``u = 2**-53``, ``S_i`` the computed
+    ``sum |c_k| |x_i|**k`` at the evaluation point ``x_i``):
+
+    - ``|z| <= 1``: complex Horner errs by at most ``(4n + 2) u`` times the
+      exact ``S_i`` (Higham's Horner bound with ``sqrt(2) gamma_2`` per complex
+      product), and the exact ``S_i`` exceeds the computed one by less than
+      ``(3n + 2) u`` relative.  ``5 (n + 1) u S_i`` bounds both.
+    - ``|z| > 1``: ``p(z) = z**n rev(1/z)``, evaluated at ``y``, the
+      reciprocal of ``_inverse`` with relative error at most ``4u``.  Moving
+      the argument by that much moves ``rev`` by at most ``4nu`` times ``S_i``
+      to first order; with Horner's own error, ``10 (n + 1) u S_i`` bounds
+      both.  ``|z|**n / prod |z_i - z_j|`` is formed as ``|z_i| / prod
+      (|z_i - z_j| / |z_i|)``, which stays in range.
+    - Each factor of the product carries at most ``6u`` (difference,
+      modulus, quotient), each product ``u``: the product is shrunk by
+      ``1 - 8 (n + 1) u``.  The factors' exponents are summed as integers, so
+      the product neither overflows nor underflows.
+    - The last few operations are covered by ``_ROUND_UP``, and the radius is
+      raised by the smallest subnormal against an underflow.
+
+    A radius that is not finite (a product that is 0, a value that
+    overflowed) comes out as ``inf``.
+    """
+    n = len(c) - 1
+    cm, x, far = _horner_at(c, z)
+    with np.errstate(all="ignore"):
+        v = np.abs(_kernels.horner_points(cm, x))
+        s = _kernels.horner_points(np.abs(cm), np.abs(x))
+        az = np.abs(z)
+        num = (v + np.where(far, 10.0, 5.0) * (n + 1) * _U * s) * np.where(far, az, 1.0)
+        t = np.abs(z[:, None] - z[None, :]) / np.where(far, az, 1.0)[:, None]
+        np.fill_diagonal(t, 1.0)
+        mant, ex = np.frexp(t)
+        prod, scale = np.ones(n), ex.sum(axis=1)
+        # 1000 factors in [0.5, 1) times one more keep the product normal
+        for j in range(0, n, 1000):
+            prod, e = np.frexp(prod * mant[:, j:j + 1000].prod(axis=1))
+            scale += e
+        den = abs(complex(c[-1])) * prod * (1.0 - 8.0 * (n + 1) * _U)
+        r = np.ldexp(n * num / den * _ROUND_UP, -scale) + 2.0**-1074
+    return np.where(r >= 0.0, r, np.inf)  # nan -> inf
+
+
+def _meet(centers, radii):
+    """Whether two discs may meet, judged so that rounding never separates meeting discs.
+
+    Squared lengths are compared; a rounding of at most ``5u`` on the squared
+    distance and ``3u`` on the squared radius sum, plus underflow, is covered
+    by the factor ``1 + 16u`` and the additive ``2**-1070``.
+    """
+    dz = centers[:, None] - centers[None, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = dz.real * dz.real + dz.imag * dz.imag
+        s2 = (radii[:, None] + radii[None, :]) ** 2
+        return ~(d2 > s2 * (1.0 + 16.0 * _U) + 2.0**-1070)
+
+
+def _components(meet):
+    """Index arrays of the connected components of the symmetric relation ``meet``."""
+    label = np.full(len(meet), -1)
+    comps = []
+    for i in range(len(meet)):
+        if label[i] >= 0:
+            continue
+        label[i] = len(comps)
+        members, frontier = [i], np.array([i])
+        while len(frontier):
+            frontier = np.flatnonzero(meet[frontier].any(axis=0) & (label < 0))
+            label[frontier] = len(comps)
+            members.extend(frontier.tolist())
+        comps.append(np.array(sorted(members)))
+    return comps
+
+
+def _disjoint_discs(centers, radii, mult):
+    """Merge meeting discs into enclosing ones until no two meet.
+
+    A merged disc is centered at the mean of the centers it encloses, with
+    radius the largest ``|center - c| + radius``, rounded up.  It holds the
+    sum of their multiplicities.  Returns the centers, radii, multiplicities
+    and, per disc, the indices of the input discs it encloses.
+    """
+    groups = [np.array([i]) for i in range(len(centers))]
+    while True:
+        comps = _components(_meet(centers, radii))
+        if len(comps) == len(centers):
+            return centers, radii, mult, groups
+        groups = [np.concatenate([groups[i] for i in idx]) for idx in comps]
+        out = []
+        for idx in comps:
+            if len(idx) == 1:
+                out.append((centers[idx[0]], radii[idx[0]], mult[idx[0]]))
+                continue
+            c = complex(centers[idx].mean())
+            r = float(((np.abs(centers[idx] - c) + radii[idx]) * (1.0 + 8.0 * _U)).max())
+            out.append((c, r, int(mult[idx].sum())))
+        centers = np.array([o[0] for o in out], dtype=np.complex128)
+        radii = np.array([o[1] for o in out])
+        mult = np.array([o[2] for o in out])
+
+
+def _certified_discs(q, z, nzero):
+    """Pairwise disjoint discs from Smith's discs at the points ``z``, plus ``nzero`` roots at 0."""
+    centers, radii = z, _smith_radii(q, z)
+    mult = np.ones(len(z), dtype=int)
+    if nzero:
+        centers = np.append(centers, 0j)
+        radii, mult = np.append(radii, 0.0), np.append(mult, nzero)
+    return _disjoint_discs(centers, radii, mult)
+
+
+def _spread(q, z, idx):
+    """Points ``idx`` of ``z`` moved onto the circle about their mean that makes their discs tightest.
+
+    Aberth's points converge toward a cluster of k roots until the error of
+    evaluation drowns them, closer together than Smith's discs can use: each
+    disc there is about the evaluation error over ``spacing**(k-1)``.  On a
+    circle of radius ``s`` the discs shrink with ``s`` until they grow as
+    ``n s / k``.  ``s`` doubles from the points' spread (at least
+    ``2**-52 |mean|``) up to their current enclosing width, at most 64 times,
+    and stops once the width has grown four-fold past the best.  Smith's
+    theorem holds at any distinct points, so the moved points are certified
+    as any others.  Returns the points, with ``idx`` moved only where that
+    narrows them.
+    """
+    c = z[idx].mean()
+    ring = np.exp(2j * np.pi * np.arange(len(idx)) / len(idx))
+    best = z
+    width = (np.abs(z[idx] - c) + _smith_radii(q, z)[idx]).max()
+    s = max(np.abs(z[idx] - c).max(), 2.0**-52 * abs(c))
+    for _ in range(64):
+        if not s < width:
             break
-        step = v / dv
-        z = z - step
-        if abs(step) < 1e-15 * max(1.0, abs(z)):
+        trial = z.copy()
+        trial[idx] = c + s * ring
+        w = (s + _smith_radii(q, trial)[idx]).max()
+        if w < width:
+            best, width = trial, w
+        elif w > 4.0 * width:
             break
-    return complex(z)
+        s *= 2.0
+    return best
+
+
+def _grown(centers, radii, limit):
+    """Radii grown toward ``limit``, by at most a quarter of each disc's gap to its nearest neighbour.
+
+    A disc of radius 0 is exact (the zero roots) and keeps its radius.
+
+    The discs are pairwise disjoint, and the grown ones stay so: two grown
+    radii add up to at most the two radii plus half their gap, and the gaps
+    are measured on distances shrunk by ``2**-40``, far above their rounding.
+    """
+    with np.errstate(invalid="ignore"):
+        gap = np.abs(centers[:, None] - centers[None, :]) / _ROUND_UP - radii[:, None] - radii[None, :]
+        np.fill_diagonal(gap, np.inf)
+        grow = np.minimum(limit - radii, 0.25 * gap.min(axis=1))
+    return radii + np.where((grow > 0.0) & (radii > 0.0), grow, 0.0)
 
 
 def isolate_complex_roots(
@@ -291,41 +553,87 @@ def isolate_complex_roots(
     seed: int,
     eta: float = 100.0,
 ) -> ComplexIsolationResult:
-    """Full Algorithm-2 driver with a seeded random direction.
+    """Certified isolation of all complex roots: Aberth sweeps checked by Smith's discs.
 
-    Confirmed inclusions each contain a root within ``rho*sqrt(2)`` of the
-    disc center (with probability at least ``1 - eps`` for roots separated
-    beyond the reported bound).  Unresolved nodes are returned rather than
-    retried; re-running with a fresh seed draws a new direction.  Every
-    multiplicity-1 disc center is polished by a few plain Newton steps.  A
-    pure power ``c * x**n`` gives the single exact inclusion ``(0, 0, n)``.
+    Every returned inclusion holds exactly ``multiplicity`` roots, counted
+    with multiplicity, and its radius is at most ``rho * sqrt(2)``; its
+    ``failure_prob_bound`` is 0.  The discs are pairwise disjoint.
+
+    - Exact zero roots (vanishing low-order coefficients) are split off as
+      the exact disc ``(0, 0)``; ``q`` is the rest.
+    - ``n`` starting points are placed on the annuli of ``q``'s root radii
+      (``_starting_points``; the seeded angle ``phi`` rotates them), and
+      moved by Aberth sweeps (``_aberth``).
+    - Smith's theorem (J. ACM 17, 1970): with ``W_i = q(z_i) / (a_n
+      prod_{j != i}(z_i - z_j))``, every root lies in the union of the discs
+      ``D(z_i, n |W_i|)``, and a disc enclosing some of them that meets none
+      of the others holds exactly as many roots as it encloses discs.
+      ``_smith_radii`` bounds the radii with every rounding.
+    - Meeting discs are merged into enclosing discs until none meet; each
+      merged disc holds the sum of its multiplicities.  A disc that meets
+      the zero roots' disc is merged with it.
+    - Each disc then grows toward ``rho * sqrt(2)`` while the discs stay
+      pairwise disjoint.  A disc wider than ``rho * sqrt(2)`` (also one
+      whose bound is not finite) is returned in ``unresolved`` as a
+      ``GridNode`` of the same disc and multiplicity; a call with a fresh
+      seed starts from other points.
+
+    ``eps`` and ``eta`` are validated but otherwise unused: they belong to
+    the paper's randomized Algorithm 2 (``shifted_families``,
+    ``grid_from_two_families``, ``disambiguate_with_third``), of which the
+    result still reports the separation bounds for its component count.
+    ``phi`` is drawn from ``seed`` in ``[pi/8, 3pi/8]``.  A pure power
+    ``c * x**n`` gives the single exact inclusion ``(0, 0, n)``.  Raises
+    PrecisionLossError when the squared lengths of the certification, about
+    ``r1p**2`` for the root bound ``r1p``, leave the normal float range.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
+    if not 0.0 < rho < math.inf:
+        raise ValueError("rho must be positive and finite")
+    if not 0.0 < eta < math.inf:
+        raise ValueError("eta must be positive and finite")
+    n = p.degree
+    if n < 1:
+        raise ValueError("need degree >= 1")
     rng = np.random.default_rng(seed)
     phi = float(rng.uniform(math.pi / 8.0, 3.0 * math.pi / 8.0))
-    f1, f2, f3 = shifted_families(p, rho, eta=eta, phi=phi)
     r1p = root_radius_upper_bound(p)
+    limit = rho * math.sqrt(2.0)
+    stats = {"sweeps": 0, "frozen": 0, "components_by_size": {}, "unresolved": 0}
+    c = np.asarray(p.coeffs, dtype=np.complex128)
+    nzero = int(np.flatnonzero(c)[0])
     if r1p == 0.0:  # p is c * x**n: one exact root of multiplicity n, at 0
-        nodes, unresolved = [], []
-        inclusions = [ComplexInclusion(0j, 0.0, p.degree, 0.0)]
+        centers, radii, mult = np.zeros(1, dtype=np.complex128), np.zeros(1), np.array([n])
     else:
-        nodes = grid_from_two_families(f1, f2, r1p)
-        inclusions, unresolved = disambiguate_with_third(nodes, f3, eps=eps)
-    inclusions = [
-        replace(inc, disc_center=_newton_polish(p, inc.disc_center))
-        if inc.multiplicity == 1
-        else inc
-        for inc in inclusions
-    ]
-    n = p.degree
-    sep = theoretical_separation(max(1, len(nodes)), rho, eps)
+        if not r1p * r1p < math.inf:
+            raise PrecisionLossError(
+                f"root bound {r1p:.3e} puts the squared lengths of the certification outside the float range"
+            )
+        if r1p * r1p < 2.0**-1022:
+            raise PrecisionLossError("roots too close to 0 for the squared lengths of the certification")
+        q = c[nzero:]
+        z = _starting_points(Polynomial(q), phi)
+        stats["sweeps"], stats["frozen"] = _aberth(q, z)
+        centers, radii, mult, groups = _certified_discs(q, z, nzero)
+        wide = [g[g < len(z)] for g, r in zip(groups, radii) if r > limit]
+        clusters = [g for g in wide if len(g) > 1]
+        for g in clusters:
+            z = _spread(q, z, g)
+        if clusters:
+            centers, radii, mult, _ = _certified_discs(q, z, nzero)
+    radii = _grown(centers, radii, limit)
+    inclusions, unresolved = [], []
+    sizes = stats["components_by_size"]
+    for center, radius, m in zip(centers.tolist(), radii.tolist(), mult.tolist()):
+        if radius <= limit:
+            inclusions.append(ComplexInclusion(complex(center), radius, m, 0.0))
+        else:
+            unresolved.append(GridNode(complex(center), radius / math.sqrt(2.0), m))
+        sizes[m] = sizes.get(m, 0) + 1
+    stats["unresolved"] = len(unresolved)
+    sep = theoretical_separation(max(1, len(centers)), rho, eps)
     sep_n4 = (SEPARATION_CONSTANT * n**4 + 2.0 * eps) * rho / eps
-    stats = {
-        "n_nodes": len(nodes),
-        "n_annuli": [len(f.annuli) for f in (f1, f2, f3)],
-        "r1_plus": r1p,
-    }
     return ComplexIsolationResult(
         inclusions=tuple(inclusions),
         unresolved=tuple(unresolved),

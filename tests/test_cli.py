@@ -141,12 +141,28 @@ class TestIsolateComplexCommand:
         got = json.loads(capsys.readouterr().out)
         assert len(got["inclusions"]) == 7
 
-    def test_precision_loss_exit_3(self, tmp_path, capsys):
-        # degree 513 needs more than the 2**13-bit cap of the distance queries
+    def test_degree_513_disjoint_discs(self, tmp_path, capsys):
+        # the distance queries give up on this input (test_radii), the
+        # certified path isolates all 513 roots of unity
         path = tmp_path / "x513m1.txt"
         path.write_text("-1\n" + "0\n" * 512 + "1\n")
-        assert main(["isolate-complex", str(path)]) == 3
-        assert capsys.readouterr().err.startswith("error:")
+        assert main(["isolate-complex", str(path)]) == 0
+        got = json.loads(capsys.readouterr().out)
+        assert got["unresolved"] == [] and len(got["inclusions"]) == 513
+        c = np.array([complex(i["re"], i["im"]) for i in got["inclusions"]])
+        r = np.array([i["radius"] for i in got["inclusions"]])
+        assert all(i["multiplicity"] == 1 for i in got["inclusions"])
+        d = np.abs(c[:, None] - c[None, :]) - r[:, None] - r[None, :]
+        np.fill_diagonal(d, 1.0)
+        assert (d > 0).all()
+        assert np.abs(np.abs(c) - 1.0).max() <= 1e-12
+
+    def test_stats_keys(self, sect5_file, capsys):
+        assert main(["isolate-complex", sect5_file]) == 0
+        stats = json.loads(capsys.readouterr().out)["stats"]
+        assert set(stats) == {"sweeps", "frozen", "components_by_size", "unresolved"}
+        assert stats["components_by_size"] == {"1": 7} and stats["unresolved"] == 0
+        assert stats["sweeps"] > 0 and stats["frozen"] == 7
 
     @pytest.mark.parametrize("text", ["1e300\n1e-300\n", "1\n5e-324\n"])
     def test_root_bound_past_float_range_exit_3(self, tmp_path, capsys, text):

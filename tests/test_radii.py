@@ -251,6 +251,12 @@ class TestDistancesFromPoint:
             b = rr.refined_radii(rr.taylor_shift(p, z), 1e-4)
             assert np.allclose(a.radii, b.radii, rtol=3e-4)
 
+    def test_precision_past_bit_cap_raises(self):
+        # degree 513 starts at 16 * 513 = 8208 bits, past the 2**13-bit cap
+        p = Polynomial([-1.0] + [0.0] * 512 + [1.0])
+        with pytest.raises(PrecisionLossError, match="did not settle within 8192 bits"):
+            rr.distances_from_point(p, -100.0, 1e-8)
+
     @pytest.mark.parametrize("z", [math.inf, complex(0.0, -math.inf), math.nan])
     def test_non_finite_center_raises(self, z):
         with pytest.raises(PrecisionLossError):

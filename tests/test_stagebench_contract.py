@@ -23,6 +23,8 @@ SRC = Path(rr.__file__).resolve().parent.parent
 
 
 def test_traced_complex_isolation_calls_every_complex_layer(monkeypatch, sect5):
+    # isolate_complex_roots squares on the float engine; the exact layers are
+    # reached through the paper's shifted families
     monkeypatch.syspath_prepend(str(STAGEBENCH))
     import tracing
 
@@ -30,6 +32,12 @@ def test_traced_complex_isolation_calls_every_complex_layer(monkeypatch, sect5):
     with tracing.traced(tracer):
         res = complexiso.isolate_complex_roots(sect5, rho=1e-3, eps=0.05, seed=0)
     assert res.inclusions
+    assert tracer.calls["_kernels.graeffe_step_me"] > 0
+
+    tracer = tracing.Tracer()
+    with tracing.traced(tracer):
+        fams = complexiso.shifted_families(sect5, 1e-3, phi=0.5)
+    assert all(f.annuli for f in fams)
     for name in (
         "_dd.taylor_shift_dd",
         "_dd.graeffe_step_me_dd",
