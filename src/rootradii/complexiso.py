@@ -11,7 +11,10 @@ encloses some of them and meets none of the others holds exactly as many roots
 as it encloses discs.  The radii are bounded with every rounding, so each
 returned disc holds exactly its multiplicity, with no failure probability.
 
-The rest of the module is the paper's randomized Algorithm 2, kept as API.
+The rest of the module is the paper's randomized Algorithm 2.  Where all
+roots share one annulus, whose radii place the points on one circle whatever
+the roots' arguments, its confirmed nodes are the starting points tried
+first.
 Distances from a point far outside the root disc to all roots are computable
 (they are the root radii of the shifted polynomial), and each distance pins a
 root to a thin annulus.  A family's annuli all share its shift center.  Two
@@ -293,24 +296,60 @@ _MAX_SWEEPS = 200
 # largest step of the points still moving did not halve: a cluster's points
 # only wander at the rounding level there
 _STALLED = 10
+# the paper's Algorithm 2 places starting points to within this fraction of
+# the root bound, and not above this degree
+_PAPER_RHO = 0.01
+_PAPER_MAX_DEGREE = 32
 # a relative 2**-40 covers the rounding of the last few operations of a
 # Smith radius and of a gap between discs, far above their actual error
 _ROUND_UP = 1.0 + 2.0**-40
 
 
-def _starting_points(q: Polynomial, phi: float) -> np.ndarray:
+def _starting_points(annuli, phi: float) -> np.ndarray:
     """m points on the mid-circle ``sqrt(inner * outer)`` of each annulus of multiplicity m.
 
-    The annuli are ``_merge_chains`` of ``refined_radii(q, 0.1)``; the k-th
-    annulus's points start at the angle ``phi + 0.7 (k + 1)``.
+    The k-th annulus's points start at the angle ``phi + 0.7 (k + 1)``.
     """
-    est = refined_radii(q, _START_TARGET)
     pts = []
-    for k, a in enumerate(_merge_chains(est.radii, est.rel_factor)):
+    for k, a in enumerate(annuli):
         t = np.arange(a.multiplicity)
         angle = 2.0 * np.pi * t / a.multiplicity + 0.7 * (k + 1) + phi
         pts.append(math.sqrt(a.inner) * math.sqrt(a.outer) * np.exp(1j * angle))
     return np.concatenate(pts)
+
+
+def _paper_starting_points(q: Polynomial, z, phi: float, eta: float, eps: float):
+    """The points ``z`` with the nodes confirmed by the paper's Algorithm 2 put in place of the nearest.
+
+    Algorithm 2 runs at ``rho = 0.01 r1+`` with the shift distance ``eta``
+    and the third direction ``phi``.  A confirmed node of multiplicity m
+    takes m points on the circle of its disc radius about its center.
+    Returns None where Algorithm 2 does not run: above degree 32 (its
+    squarings run on ``16n``-bit integers, and at n = 32 it already takes
+    about 20 times as long as the sweeps), or where it raises
+    PrecisionLossError.
+    """
+    if q.degree > _PAPER_MAX_DEGREE:
+        return None
+    r1p = root_radius_upper_bound(q)
+    try:
+        f1, f2, f3 = shifted_families(q, _PAPER_RHO * r1p, eta, phi)
+        nodes = grid_from_two_families(f1, f2, r1p)
+    except PrecisionLossError:
+        return None
+    confirmed, _ = disambiguate_with_third(nodes, f3, eps)
+    z = z.copy()
+    free = np.ones(len(z), dtype=bool)
+    for inc in confirmed:
+        m = inc.multiplicity
+        ring = inc.disc_center + (inc.disc_radius if m > 1 else 0.0) * np.exp(2j * np.pi * np.arange(m) / m)
+        for w in ring:
+            idx = np.flatnonzero(free)
+            if not len(idx):
+                return z
+            j = idx[np.argmin(np.abs(z[idx] - w))]
+            z[j], free[j] = w, False
+    return z
 
 
 def _inverse(z):
@@ -530,6 +569,24 @@ def _spread(q, z, idx):
     return best
 
 
+def _certified_from(q, z, nzero, limit):
+    """Aberth sweeps from the points ``z``, then Smith's discs, with each wide cluster spread.
+
+    Returns the number of roots in discs wider than ``limit``, the centers,
+    radii and multiplicities of the discs, the sweeps made and the points
+    frozen.
+    """
+    sweeps, frozen = _aberth(q, z)
+    centers, radii, mult, groups = _certified_discs(q, z, nzero)
+    wide = [g[g < len(z)] for g, r in zip(groups, radii) if r > limit]
+    clusters = [g for g in wide if len(g) > 1]
+    for g in clusters:
+        z = _spread(q, z, g)
+    if clusters:
+        centers, radii, mult, _ = _certified_discs(q, z, nzero)
+    return mult[radii > limit].sum(), centers, radii, mult, sweeps, frozen
+
+
 def _grown(centers, radii, limit):
     """Radii grown toward ``limit``, by at most a quarter of each disc's gap to its nearest neighbour.
 
@@ -564,6 +621,12 @@ def isolate_complex_roots(
     - ``n`` starting points are placed on the annuli of ``q``'s root radii
       (``_starting_points``; the seeded angle ``phi`` rotates them), and
       moved by Aberth sweeps (``_aberth``).
+    - When all roots fall into one annulus, whose radii say nothing of
+      their arguments, the nodes that the paper's Algorithm 2 confirms
+      first take the place of the nearest of these points
+      (``_paper_starting_points``, at degree 32 and below).  If that
+      leaves a root unresolved, the plain points are tried too, and the
+      set that leaves fewer roots unresolved is kept.
     - Smith's theorem (J. ACM 17, 1970): with ``W_i = q(z_i) / (a_n
       prod_{j != i}(z_i - z_j))``, every root lies in the union of the discs
       ``D(z_i, n |W_i|)``, and a disc enclosing some of them that meets none
@@ -578,11 +641,12 @@ def isolate_complex_roots(
       ``GridNode`` of the same disc and multiplicity; a call with a fresh
       seed starts from other points.
 
-    ``eps`` and ``eta`` are validated but otherwise unused: they belong to
-    the paper's randomized Algorithm 2 (``shifted_families``,
-    ``grid_from_two_families``, ``disambiguate_with_third``), of which the
-    result still reports the separation bounds for its component count.
-    ``phi`` is drawn from ``seed`` in ``[pi/8, 3pi/8]``.  A pure power
+    ``eta`` and ``eps`` go to Algorithm 2 (the shift distance of its
+    families and the failure bound of its confirmed nodes); the discs
+    themselves need neither, and the result reports Algorithm 2's
+    separation bounds for its component count.  ``phi`` is drawn from
+    ``seed`` in ``[pi/8, 3pi/8]``; it rotates the starting points and is
+    Algorithm 2's third direction.  A pure power
     ``c * x**n`` gives the single exact inclusion ``(0, 0, n)``.  Raises
     PrecisionLossError when the squared lengths of the certification, about
     ``r1p**2`` for the root bound ``r1p``, leave the normal float range.
@@ -613,15 +677,24 @@ def isolate_complex_roots(
         if r1p * r1p < 2.0**-1022:
             raise PrecisionLossError("roots too close to 0 for the squared lengths of the certification")
         q = c[nzero:]
-        z = _starting_points(Polynomial(q), phi)
-        stats["sweeps"], stats["frozen"] = _aberth(q, z)
-        centers, radii, mult, groups = _certified_discs(q, z, nzero)
-        wide = [g[g < len(z)] for g, r in zip(groups, radii) if r > limit]
-        clusters = [g for g in wide if len(g) > 1]
-        for g in clusters:
-            z = _spread(q, z, g)
-        if clusters:
-            centers, radii, mult, _ = _certified_discs(q, z, nzero)
+        qp = Polynomial(q)
+        est = refined_radii(qp, _START_TARGET)
+        annuli = _merge_chains(est.radii, est.rel_factor)
+        circle = _starting_points(annuli, phi)
+        starts = [circle.copy]
+        if len(annuli) == 1:  # the radii at 0 tell nothing of the arguments
+            starts.insert(0, lambda: _paper_starting_points(qp, circle, phi, eta, eps))
+        best = None
+        for start in starts:
+            z = start()
+            if z is None:
+                continue
+            out = _certified_from(q, z, nzero, limit)
+            if best is None or out[0] < best[0]:
+                best = out
+            if best[0] == 0:
+                break
+        _, centers, radii, mult, stats["sweeps"], stats["frozen"] = best
     radii = _grown(centers, radii, limit)
     inclusions, unresolved = [], []
     sizes = stats["components_by_size"]

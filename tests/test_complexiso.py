@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import rootradii as rr
+from rootradii import complexiso
 from rootradii.complexiso import (
     SEPARATION_CONSTANT,
     ComplexInclusion,
@@ -302,6 +303,18 @@ class TestIsolateComplexRoots:
         assert len(res.inclusions) == 4
         for want in (1.0, -1.0, 1.0j, -1.0j):
             assert any(abs(i.disc_center - want) <= 1e-3 * SQRT2 for i in res.inclusions)
+
+    def test_roots_on_one_arc_start_from_paper_nodes(self, monkeypatch):
+        # eight roots on one radian of the unit circle share one annulus, whose
+        # circle points leave a root unresolved; Algorithm 2's nodes do not
+        roots = np.exp(1j * np.random.default_rng(2).uniform(0.0, 1.0, 8))
+        p = Polynomial(np.poly(roots)[::-1])
+        res = rr.isolate_complex_roots(p, rho=1e-3, eps=0.05, seed=0)
+        assert res.unresolved == () and len(res.inclusions) == 8
+        for z in roots:
+            assert sum(abs(i.disc_center - z) <= i.disc_radius for i in res.inclusions) == 1
+        monkeypatch.setattr(complexiso, "_paper_starting_points", lambda *args: None)
+        assert rr.isolate_complex_roots(p, rho=1e-3, eps=0.05, seed=0).unresolved
 
     def test_double_root(self):
         res = rr.isolate_complex_roots(Polynomial([1.0, -2.0, 1.0]), rho=1e-3, eps=0.05, seed=0)
