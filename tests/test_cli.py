@@ -160,7 +160,7 @@ class TestIsolateComplexCommand:
     def test_stats_keys(self, sect5_file, capsys):
         assert main(["isolate-complex", sect5_file]) == 0
         stats = json.loads(capsys.readouterr().out)["stats"]
-        assert set(stats) == {"sweeps", "frozen", "components_by_size", "unresolved"}
+        assert set(stats) == {"sweeps", "frozen", "components_by_size", "counted", "unresolved"}
         assert stats["components_by_size"] == {"1": 7} and stats["unresolved"] == 0
         assert stats["sweeps"] > 0 and stats["frozen"] == 7
 

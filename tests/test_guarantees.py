@@ -78,6 +78,18 @@ def _value(coeffs, z):
     return re, im
 
 
+def _mp_roots(p):
+    with mpmath.workdps(30):
+        coeffs = [mpmath.mpc(complex(c)) for c in reversed(p.coeffs.tolist())]
+        return mpmath.polyroots(coeffs, maxsteps=300, extraprec=300)
+
+
+def _inside(roots, inc):
+    with mpmath.workdps(30):
+        c = mpmath.mpc(inc.disc_center)
+        return sum(abs(z - c) < inc.disc_radius for z in roots)
+
+
 def _disjoint(c1, r1, c2, r2):
     d = (c1[0] - c2[0], c1[1] - c2[1])
     return _abs2(d) > (Fraction(r1) + Fraction(r2)) ** 2
@@ -89,7 +101,10 @@ def _check_smith(p, res):
     With the points ``z_i`` (the centers of all discs, inclusions and
     unresolved), a disc of radius ``r_i`` is a Smith disc when
     ``n |p(z_i)| <= r_i |a_n| prod_{j != i} |z_i - z_j|``; squared, in
-    ``Fraction``s.  Returns the number of inclusions checked.
+    ``Fraction``s.  An inclusion that is no Smith disc must be one of the
+    ``stats["counted"]`` discs of the count rule: it holds exactly one of
+    mpmath's roots and may lie inside an unresolved disc.  Returns the
+    number of inclusions checked.
     """
     discs = [(i.disc_center, i.disc_radius, i.multiplicity) for i in res.inclusions]
     discs += [(u.center, u.disc_radius, u.multiplicity) for u in res.unresolved]
@@ -99,16 +114,21 @@ def _check_smith(p, res):
         return 0
     pts = [_fc(c) for c, _, _ in discs]
     an2 = _abs2(_fc(coeffs[-1]))
+    counted = 0
     for i, inc in enumerate(res.inclusions):
         prod = Fraction(1)
         for j, w in enumerate(pts):
             if j != i:
                 prod *= _abs2((pts[i][0] - w[0], pts[i][1] - w[1]))
         lhs = n * n * _abs2(_value(coeffs, pts[i]))
-        assert lhs <= Fraction(inc.disc_radius) ** 2 * an2 * prod, (i, inc)
+        smith = lhs <= Fraction(inc.disc_radius) ** 2 * an2 * prod
+        if not smith:
+            counted += 1
+            assert _inside(_mp_roots(p), inc) == 1, (i, inc)
         for j, (c, r, _) in enumerate(discs):
-            if j != i:
+            if j != i and (smith or j < len(res.inclusions)):
                 assert _disjoint(pts[i], inc.disc_radius, _fc(c), r), (i, j)
+    assert counted <= res.stats["counted"]
     return len(res.inclusions)
 
 
@@ -144,10 +164,6 @@ def test_smith_radii_bound_exact_at_any_points(p):
             assert lhs <= Fraction(r) ** 2 * an2 * prod, (rel, i, r)
 
 
-def _mp_roots(p):
-    with mpmath.workdps(30):
-        coeffs = [mpmath.mpc(complex(c)) for c in reversed(p.coeffs.tolist())]
-        return mpmath.polyroots(coeffs, maxsteps=300, extraprec=300)
 
 
 @pytest.mark.parametrize("p", _gaussians() + _fixed())
@@ -167,6 +183,74 @@ def test_every_disc_holds_its_multiplicity(p):
             inside = sum(abs(z - c) < inc.disc_radius for z in roots)
             assert inside == inc.multiplicity, inc
             assert inc.failure_prob_bound == 0.0
+
+
+@pytest.mark.parametrize("rho, least", [(1e-2, 20), (1e-3, 13)])
+def test_wilkinson_roots_counted_inside_a_wide_smith_disc(rho, least):
+    # the Smith radii of the roots near 15 come out near 170 and swallow the
+    # others; the count rule certifies the points one by one
+    p = Polynomial(np.poly(np.arange(1.0, 21.0))[::-1])
+    res = rr.isolate_complex_roots(p, rho, 0.05, 0)
+    assert res.stats["counted"] >= least
+    assert sum(i.multiplicity for i in res.inclusions) >= least
+    assert sum(i.multiplicity for i in res.inclusions + res.unresolved) == 20
+    roots = _mp_roots(p)
+    for k, inc in enumerate(res.inclusions):
+        assert _inside(roots, inc) == inc.multiplicity, inc
+        assert inc.disc_radius <= rho * math.sqrt(2.0)
+        for other in res.inclusions[k + 1:]:
+            assert _disjoint(_fc(inc.disc_center), inc.disc_radius, _fc(other.disc_center), other.disc_radius)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        pytest.param(Polynomial(np.poly(np.arange(1.0, 11.0))[::-1]), id="wilkinson10"),
+        pytest.param(Polynomial(CLUSTER), id="cluster1e-9"),
+        _gaussians()[5],
+    ],
+)
+def test_count_rule_counts_mpmath_roots(p):
+    # at points near each root and between roots, the count rule's disc holds
+    # exactly m roots at every radius from lo up to (not including) hi
+    roots = _mp_roots(p)
+    q = np.asarray(p.coeffs, dtype=np.complex128)
+    ref = np.array([complex(z) for z in roots])
+    rng = np.random.default_rng(3)
+    points = [z * (1.0 + rel * complex(*rng.standard_normal(2))) for z in ref for rel in (1e-9, 1e-4, 1e-2)]
+    points += [(a + b) / 2 for a, b in zip(ref, np.roll(ref, 1))]
+    hits = 0
+    for w in points:
+        counted = complexiso._count_rule(q, complex(w), 10.0)
+        if counted is None:
+            continue
+        m, lo, hi = counted
+        assert lo < hi
+        with mpmath.workdps(30):
+            d = [abs(z - mpmath.mpc(w)) for z in roots]
+            assert sum(x <= lo for x in d) == m, (w, counted)
+            assert sum(x < hi for x in d) == m, (w, counted)
+        hits += 1
+    assert hits >= len(points) // 2
+
+
+def test_counted_discs_never_count_one_root_twice():
+    # two points next to the root 1 of Wilkinson-10 inside one wide disc:
+    # only one of them may carry a counted disc
+    p = Polynomial(np.poly(np.arange(1.0, 11.0))[::-1])
+    q = np.asarray(p.coeffs, dtype=np.complex128)
+    z = np.array([1.0 + 1e-7, 1.0 - 1e-7j] + list(range(3, 11)), dtype=np.complex128)
+    centers, radii, mult, cap, parent = complexiso._counted(
+        q, z, np.array([5.5 + 0j]), np.array([20.0]), np.array([10]), [np.arange(10)], 1e-2
+    )
+    counted = np.flatnonzero(parent >= 0)
+    assert mult[0] + mult[counted].sum() == 10
+    roots = _mp_roots(p)
+    for i in counted:
+        inc = complexiso.ComplexInclusion(complex(centers[i]), float(cap[i]), int(mult[i]), 0.0)
+        assert _inside(roots, inc) == mult[i]
+        for j in counted[counted > i]:
+            assert _disjoint(_fc(centers[i]), cap[i], _fc(centers[j]), cap[j])
 
 
 @pytest.mark.parametrize("p, mults", [(Polynomial(TRIPLE), [1, 3]), (Polynomial(CLUSTER), [1, 3])])
