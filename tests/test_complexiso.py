@@ -305,8 +305,8 @@ class TestIsolateComplexRoots:
             assert any(abs(i.disc_center - want) <= 1e-3 * SQRT2 for i in res.inclusions)
 
     def test_roots_on_one_arc_start_from_paper_nodes(self, monkeypatch):
-        # eight roots on one radian of the unit circle share one annulus, whose
-        # circle points leave a root unresolved; Algorithm 2's nodes do not
+        # eight roots on one radian of the unit circle: the circle points leave
+        # a root unresolved; Algorithm 2's nodes do not
         roots = np.exp(1j * np.random.default_rng(2).uniform(0.0, 1.0, 8))
         p = Polynomial(np.poly(roots)[::-1])
         res = rr.isolate_complex_roots(p, rho=1e-3, eps=0.05, seed=0)
