@@ -8,8 +8,8 @@ wrapper installed on the module (for tracing) sees every call.
 
 Per-item loops run on Python scalars: ``horner_pair`` gets a list of Python
 numbers on the real path and in ``poly.evaluate`` (the same bits as numpy, and
-overflow to inf raises no warning), but an ndarray in the complex Newton
-polish, where Python's complex division rounds differently from numpy's.
+overflow to inf raises no warning).  The Aberth sweeps and ``_smith_radii``
+pass a coefficient matrix with one column per point, plus an array of points.
 
 Polynomial coefficients are ascending-degree throughout.  The Graeffe kernel
 works on a split (mantissa, exponent) representation, ``c_i = m_i * 2**e_i``

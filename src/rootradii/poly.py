@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
+from . import _dd, _kernels
 
 __all__ = [
     "Polynomial",
@@ -97,7 +97,7 @@ def derivative(p: Polynomial) -> Polynomial:
 
 
 def taylor_shift(p: Polynomial, z) -> Polynomial:
-    """Return ``q`` with ``q(x) = p(x + z)``, by Horner's rule over polynomials.
+    """Return ``q`` with ``q(x) = p(x + z)``: the exact shift of ``_dd``, each coefficient rounded once.
 
     Raises PrecisionLossError when ``z`` is not finite or a coefficient of the
     shift overflows the float64 range.
@@ -105,19 +105,12 @@ def taylor_shift(p: Polynomial, z) -> Polynomial:
     z = complex(z)
     if not np.isfinite(z):
         raise PrecisionLossError(f"shift center {z} is not finite")
-    c = np.asarray(p.coeffs, dtype=np.complex128)
-    # out <- out*(x + z) + c_i, two vector ops per step; overflow to inf
-    # is deliberate, the finiteness check below catches it
-    out = c[-1:].copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(len(c) - 2, -1, -1):
-            t = np.zeros(len(out) + 1, dtype=out.dtype)
-            t[1:] = out
-            t[:-1] += z * out
-            t[0] += c[i]
-            out = t
-    if not (np.isfinite(out.real).all() and np.isfinite(out.imag).all()):
-        raise PrecisionLossError("taylor shift overflowed double precision")
+    re, im, e = _dd.taylor_shift_dd(p.coeffs, z)
+    den = 2**-e
+    try:  # int true division rounds correctly
+        out = np.array([complex(r / den, i / den) for r, i in zip(re, im)])
+    except OverflowError:
+        raise PrecisionLossError("taylor shift overflowed double precision") from None
     return Polynomial(out)
 
 

@@ -11,6 +11,7 @@ exactly with Python ints and ``Fraction``s.
   sign change (or the residual is an exact 0).
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -68,20 +69,56 @@ def _abs2(a):
     return a[0] * a[0] + a[1] * a[1]
 
 
-def _value(coeffs, z):
-    """p(z) by Horner in exact complex rationals."""
-    x, y = z
-    re, im = Fraction(0), Fraction(0)
-    for c in reversed(coeffs):
-        cr, ci = _fc(c)
-        re, im = re * x - im * y + cr, re * y + im * x + ci
-    return re, im
+def _gaussian_ints(values):
+    """``([(re, im), ...], k)``: each value, as a complex float, is ``(re + i*im) / 2**k`` in ints."""
+    parts = [x.as_integer_ratio() for v in map(complex, values) for x in (v.real, v.imag)]
+    k = max(d for _, d in parts).bit_length() - 1
+    nums = [a << (k - d.bit_length() + 1) for a, d in parts]
+    return list(zip(nums[0::2], nums[1::2])), k
+
+
+def _smith_sides(coeffs, zs):
+    """Yields ints ``(lhs, rhs)`` per point of the ``n`` points ``zs``, in order, with
+    ``n**2 |p(z_i)|**2 / (|a_n|**2 prod_{j != i} |z_i - z_j|**2) == lhs / rhs``.
+
+    With ``C = coeffs * 2**D`` and ``Z = zs * 2**K`` in Gaussian ints,
+    homogeneous Horner gives ``p(z_i) * 2**(D + K n)`` and the product is
+    ``prod |Z_i - Z_j|**2 * 2**(-2K (n - 1))``: the powers of two cancel but
+    for ``2**(2K)``.
+    """
+    c, _ = _gaussian_ints(coeffs)
+    z, k = _gaussian_ints(zs)
+    n = len(c) - 1
+    an2 = c[-1][0] ** 2 + c[-1][1] ** 2
+    for i, (x, y) in enumerate(z):
+        re, im = c[-1]
+        for m in range(n - 1, -1, -1):
+            sh = k * (n - m)
+            re, im = re * x - im * y + (c[m][0] << sh), re * y + im * x + (c[m][1] << sh)
+        prod = 1
+        for j, (u, v) in enumerate(z):
+            if j != i:
+                prod *= (x - u) ** 2 + (y - v) ** 2
+        yield n * n * (re * re + im * im), (an2 * prod) << (2 * k)
+
+
+def _smith_disc(sides, r):
+    """Whether the radius ``r`` reaches Smith's bound ``lhs / rhs <= r**2``, exactly."""
+    lhs, rhs = sides
+    a, b = r.as_integer_ratio()
+    return lhs * b * b <= a * a * rhs
 
 
 def _mp_roots(p):
+    return _mp_roots_of(tuple(p.coeffs.tolist()))
+
+
+@functools.cache
+def _mp_roots_of(coeffs):
+    # polyroots dominates this module's time: it runs once per polynomial
     with mpmath.workdps(30):
-        coeffs = [mpmath.mpc(complex(c)) for c in reversed(p.coeffs.tolist())]
-        return mpmath.polyroots(coeffs, maxsteps=300, extraprec=300)
+        mp = [mpmath.mpc(complex(c)) for c in reversed(coeffs)]
+        return tuple(mpmath.polyroots(mp, maxsteps=300, extraprec=300))
 
 
 def _inside(roots, inc):
@@ -101,27 +138,20 @@ def _check_smith(p, res):
     With the points ``z_i`` (the centers of all discs, inclusions and
     unresolved), a disc of radius ``r_i`` is a Smith disc when
     ``n |p(z_i)| <= r_i |a_n| prod_{j != i} |z_i - z_j|``; squared, in
-    ``Fraction``s.  An inclusion that is no Smith disc must be one of the
+    Python ints.  An inclusion that is no Smith disc must be one of the
     ``stats["counted"]`` discs of the count rule: it holds exactly one of
     mpmath's roots and may lie inside an unresolved disc.  Returns the
     number of inclusions checked.
     """
     discs = [(i.disc_center, i.disc_radius, i.multiplicity) for i in res.inclusions]
     discs += [(u.center, u.disc_radius, u.multiplicity) for u in res.unresolved]
-    coeffs = [complex(c) for c in p.coeffs]
-    n = p.degree
-    if len(discs) != n or any(m != 1 for _, _, m in discs):
+    if len(discs) != p.degree or any(m != 1 for _, _, m in discs):
         return 0
     pts = [_fc(c) for c, _, _ in discs]
-    an2 = _abs2(_fc(coeffs[-1]))
     counted = 0
-    for i, inc in enumerate(res.inclusions):
-        prod = Fraction(1)
-        for j, w in enumerate(pts):
-            if j != i:
-                prod *= _abs2((pts[i][0] - w[0], pts[i][1] - w[1]))
-        lhs = n * n * _abs2(_value(coeffs, pts[i]))
-        smith = lhs <= Fraction(inc.disc_radius) ** 2 * an2 * prod
+    sides = _smith_sides(p.coeffs.tolist(), [c for c, _, _ in discs])
+    for i, (inc, si) in enumerate(zip(res.inclusions, sides)):
+        smith = _smith_disc(si, inc.disc_radius)
         if not smith:
             counted += 1
             assert _inside(_mp_roots(p), inc) == 1, (i, inc)
@@ -148,20 +178,12 @@ def test_smith_radii_bound_exact_at_any_points(p):
     # radii must still bound n |W_i|, on both sides of |z| = 1
     rng = np.random.default_rng(p.degree)
     roots = np.roots(p.coeffs[::-1])
-    coeffs = [complex(c) for c in p.coeffs]
-    an2 = _abs2(_fc(coeffs[-1]))
     n = p.degree
     for rel in (1e-8, 1e-3, 0.3):
         z = roots * (1.0 + rel * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
         radii = complexiso._smith_radii(np.asarray(p.coeffs, dtype=np.complex128), z)
-        pts = [_fc(w) for w in z]
-        for i, r in enumerate(radii.tolist()):
-            prod = Fraction(1)
-            for j, w in enumerate(pts):
-                if j != i:
-                    prod *= _abs2((pts[i][0] - w[0], pts[i][1] - w[1]))
-            lhs = n * n * _abs2(_value(coeffs, pts[i]))
-            assert lhs <= Fraction(r) ** 2 * an2 * prod, (rel, i, r)
+        for i, (r, si) in enumerate(zip(radii.tolist(), _smith_sides(p.coeffs.tolist(), z.tolist()))):
+            assert _smith_disc(si, r), (rel, i, r)
 
 
 

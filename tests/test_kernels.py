@@ -146,23 +146,27 @@ def exact_shift(c, z):
 
 
 class TestTaylorShiftParity:
-    """``poly.taylor_shift`` against exact synthetic division.
+    """``poly.taylor_shift``, the exact shift rounded once, against exact synthetic division.
 
-    Coefficient ``k`` of the shift is ``sum_i c_i C(i, k) z**(i-k)``.  Each of
+    Each coefficient is the exact one rounded to the nearest float, real and
+    imaginary parts alike.  That is well inside the error bound of a float
+    shift: coefficient ``k`` is ``sum_i c_i C(i, k) z**(i-k)``, and each of
     its ``C(i, k)`` paths through the recurrence takes at most one complex
     multiplication (error at most ``sqrt(2) gamma_2 < gamma_3``, Higham lemma
     3.5) and two additions per step, so ``gamma_5n`` times the sum of the
     absolute terms bounds the error.
     """
 
-    def test_random_complex(self):
+    def cases(self):
         rng = np.random.default_rng(3)
-        cases = [
+        return [
             (rng.standard_normal(15) + 1j * rng.standard_normal(15), complex(0.7, -0.3)),
             (rng.standard_normal(9), complex(-1.25, 0.0)),
             (rng.standard_normal(24) + 1j * rng.standard_normal(24), complex(0.1, 1.9)),
         ]
-        for c, z in cases:
+
+    def test_random_complex(self):
+        for c, z in self.cases():
             got = np.asarray(rr.taylor_shift(Polynomial(c), z).coeffs, dtype=np.complex128)
             exact = exact_shift(c, z)
             n = len(c) - 1
@@ -170,6 +174,14 @@ class TestTaylorShiftParity:
             for k in range(n + 1):
                 absum = sum(abs(c[i]) * math.comb(i, k) * abs(z) ** (i - k) for i in range(k, n + 1))
                 assert cabs_err(got[k], exact[k]) <= float(gamma(5 * n)) * absum, (n, k)
+
+    def test_rounds_the_exact_shift_once(self):
+        for c, z in self.cases():
+            got = np.asarray(rr.taylor_shift(Polynomial(c), z).coeffs, dtype=np.complex128)
+            exact = exact_shift(c, z)
+            assert len(got) == len(exact)
+            for k, (xr, xi) in enumerate(exact):
+                assert (got[k].real, got[k].imag) == (float(xr), float(xi)), (len(c), k)
 
 
 def exact_step(m, e):

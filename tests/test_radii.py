@@ -241,8 +241,9 @@ class TestDistancesFromPoint:
             assert np.all(np.abs(est.radii / true - 1.0) <= 1e-3 + 1e-6)
 
     def test_agrees_with_plain_shift_pipeline_when_benign(self):
-        # for a near shift the plain float64 route (shift then refine) is
-        # also valid; the two largely independent pipelines must agree
+        # one exact shift, rounded once and squared by the float engine,
+        # against the exact engine of distances_from_point: for a near shift
+        # both are valid and must agree
         rng = np.random.default_rng(99)
         z = complex(0.5, 0.2)
         for _ in range(5):
