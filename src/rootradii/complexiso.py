@@ -10,10 +10,10 @@ with ``W_i = p(z_i) / (a_n prod_{j != i}(z_i - z_j))``, and a disc that
 encloses some of them and meets none of the others holds exactly as many roots
 as it encloses discs.  The radii are bounded with every rounding, so each
 returned disc holds exactly its multiplicity, with no failure probability.
-Where the values drown in rounding, Smith's discs grow wide enough to merge
-well-separated roots; the paper's root radii of the polynomial shifted to
-one point (``distances_from_point``, certified) then count the roots near
-that point.
+Where the values drown in rounding (clusters, badly conditioned roots),
+Smith's discs grow wide enough to merge roots; the paper's root radii of
+the polynomial shifted to one point (``distances_from_point``, certified)
+then count the roots near that point.
 
 The rest of the module is the paper's randomized Algorithm 2.  Where every
 root lies on one circle, whose radii say nothing of the roots' arguments, its
@@ -471,17 +471,17 @@ def _smith_radii(c, z):
     return np.where(r >= 0.0, r, np.inf)  # nan -> inf
 
 
-def _meet(centers, radii):
-    """Whether two discs may meet, judged so that rounding never separates meeting discs.
+def _meet(c1, r1, c2, r2):
+    """Whether ``D(c1, r1)`` and ``D(c2, r2)`` may meet (broadcast), so that rounding never separates meeting discs.
 
     Squared lengths are compared; a rounding of at most ``5u`` on the squared
     distance and ``3u`` on the squared radius sum, plus underflow, is covered
     by the factor ``1 + 16u`` and the additive ``2**-1070``.
     """
-    dz = centers[:, None] - centers[None, :]
+    dz = c1 - c2
     with np.errstate(over="ignore", invalid="ignore"):
         d2 = dz.real * dz.real + dz.imag * dz.imag
-        s2 = (radii[:, None] + radii[None, :]) ** 2
+        s2 = (r1 + r2) ** 2
         return ~(d2 > s2 * (1.0 + 16.0 * _U) + 2.0**-1070)
 
 
@@ -512,7 +512,7 @@ def _disjoint_discs(centers, radii, mult):
     """
     groups = [np.array([i]) for i in range(len(centers))]
     while True:
-        comps = _components(_meet(centers, radii))
+        comps = _components(_meet(centers[:, None], radii[:, None], centers, radii))
         if len(comps) == len(centers):
             return centers, radii, mult, groups
         groups = [np.concatenate([groups[i] for i in idx]) for idx in comps]
@@ -529,125 +529,90 @@ def _disjoint_discs(centers, radii, mult):
         mult = np.array([o[2] for o in out])
 
 
-def _certified_discs(q, z, nzero):
-    """Pairwise disjoint discs from Smith's discs at the points ``z``, plus ``nzero`` roots at 0."""
+def _certified_from(q, z, nzero, limit):
+    """Aberth sweeps from the points ``z``, then Smith's discs, then the count rule on what stays wide.
+
+    Smith's discs at ``z`` (plus ``nzero`` roots at 0) are merged until none
+    meet.  A disc still wider than ``limit``, a cluster's as well as one of
+    badly conditioned roots, gets the count rule (``_counted``); the discs
+    then grow (``_grown``).  Returns the centers, radii and multiplicities
+    (0 marks a wide disc whose roots were all counted), the sweeps made,
+    the points frozen and the discs counted.
+    """
+    sweeps, frozen = _aberth(q, z)
     centers, radii = z, _smith_radii(q, z)
     mult = np.ones(len(z), dtype=int)
     if nzero:
         centers = np.append(centers, 0j)
         radii, mult = np.append(radii, 0.0), np.append(mult, nzero)
-    return _disjoint_discs(centers, radii, mult)
-
-
-def _spread(q, z, idx, limit):
-    """Points ``idx`` of ``z`` moved onto the circle about their mean that makes their discs tightest.
-
-    Aberth's points converge toward a cluster of k roots until the error of
-    evaluation drowns them, closer together than Smith's discs can use: each
-    disc there is about the evaluation error over ``spacing**(k-1)``.  On a
-    circle of radius ``s`` the discs shrink with ``s`` until they grow as
-    ``n s / k``.  ``s`` doubles from the points' spread (at least
-    ``2**-52 |mean|``) up to their current enclosing width, at most 64 times,
-    and stops once the width has grown four-fold past the best.  Smith's
-    theorem holds at any distinct points, so the moved points are certified
-    as any others.  Returns the points, with ``idx`` moved only where that
-    narrows them to at most ``limit``: a spread that certifies nothing would
-    only throw away approximations that the count rule can use.
-    """
-    c = z[idx].mean()
-    ring = np.exp(2j * np.pi * np.arange(len(idx)) / len(idx))
-    best = z
-    width = (np.abs(z[idx] - c) + _smith_radii(q, z)[idx]).max()
-    s = max(np.abs(z[idx] - c).max(), 2.0**-52 * abs(c))
-    for _ in range(64):
-        if not s < width:
-            break
-        trial = z.copy()
-        trial[idx] = c + s * ring
-        w = (s + _smith_radii(q, trial)[idx]).max()
-        if w < width:
-            best, width = trial, w
-        elif w > 4.0 * width:
-            break
-        s *= 2.0
-    return best if width <= limit else z
-
-
-def _certified_from(q, z, nzero, limit):
-    """Aberth sweeps from the points ``z``, then Smith's discs, then the count rule on what stays wide.
-
-    Each wide cluster is spread (``_spread``) and each wide disc's points get
-    the count rule (``_counted``); the discs then grow (``_grown``).  Returns
-    the centers, radii and multiplicities of the discs (a multiplicity 0
-    marks a wide disc whose roots were all counted), the sweeps made, the
-    points frozen and the discs counted.
-    """
-    sweeps, frozen = _aberth(q, z)
-    centers, radii, mult, groups = _certified_discs(q, z, nzero)
-    clusters = [g[g < len(z)] for g, r in zip(groups, radii) if r > limit]
-    clusters = [g for g in clusters if len(g) > 1]
-    for g in clusters:
-        z = _spread(q, z, g, limit)
-    if clusters:
-        centers, radii, mult, groups = _certified_discs(q, z, nzero)
+    centers, radii, mult, groups = _disjoint_discs(centers, radii, mult)
     centers, radii, mult, cap, parent = _counted(q, z, centers, radii, mult, groups, limit)
     radii = _grown(centers, radii, cap, parent)
     return centers, radii, mult, sweeps, frozen, int((parent >= 0).sum())
 
 
 def _count_rule(q, w, limit):
-    """The smallest m for which the distances from ``w`` certify m roots near it.
+    """The m for which the distances from ``w`` certify m roots in a disc about it within ``limit``.
 
     ``distances_from_point`` bounds the distances ``r_1 <= ... <= r_n`` from
     ``w`` to the roots of ``q`` within its certified factor ``f``, raised by
     ``_ROUND_UP`` for the float hull's own rounding.  Where the m nearest end
     before the next begins, ``r_m f < r_{m+1} / f``, every disc ``D(w, R)``
-    with ``r_m f <= R < r_{m+1} / f`` holds exactly m roots.  Returns (m,
-    ``r_m f``, ``r_{m+1} / f``) for the smallest such m, or None if its
-    radius ``r_m f`` exceeds ``limit`` or the distances raise
-    PrecisionLossError.
+    with ``r_m f <= R < r_{m+1} / f`` holds exactly m roots; with ``r_{n+1}
+    = inf``, m runs up to n.  Returns (m, ``r_m f``, ``r_{m+1} / f``) for
+    each such m with ``r_m f <= limit``, in increasing m: empty where there
+    is none or the distances raise PrecisionLossError.
     """
     try:
         est = distances_from_point(Polynomial(q), w, _START_TARGET)
     except PrecisionLossError:
-        return None
+        return []
     f = est.rel_factor * _ROUND_UP
-    r = est.radii[::-1].tolist()
+    r = est.radii[::-1].tolist() + [math.inf]
+    counts = []
     for m in range(1, len(r)):
         lo, hi = r[m - 1] * f, r[m] / f
         if not lo <= limit:
-            return None
+            break
         if lo < hi:
-            return m, lo, hi
-    return None
+            counts.append((m, lo, hi))
+    return counts
 
 
 def _counted(q, z, centers, radii, mult, groups, limit):
-    """Discs that the count rule certifies about single points of the wide discs.
+    """Discs that the count rule certifies about the center and the points of each wide disc.
 
-    Smith's discs of roots whose values drown in rounding can be wide enough
-    to merge well-separated roots into one component.  Each point of a wide
-    disc then gets the count rule (``_count_rule``); a counted disc that
-    meets no disc but its own wide one and no other counted disc holds roots
-    of that wide disc, whose multiplicity drops by as many.  Returns the
-    discs with the counted ones appended: centers, radii, multiplicities,
-    the largest radius each may grow to, and each counted disc's wide disc
-    (-1 for the others).
+    Smith's discs of roots whose values drown in rounding, a cluster's or
+    badly conditioned ones, can merge roots that narrower discs isolate.
+    Each wide disc's center gets the count rule (``_count_rule``) with the
+    largest m, which takes a cluster whole even where no point came near
+    one of its roots; then each of its points gets it with the smallest m,
+    but for a point inside another disc, whose counted disc would meet it.
+    A counted disc that meets no disc but its own wide one holds roots of
+    that wide disc, whose multiplicity drops by as many.  Returns the discs
+    with the counted ones appended: centers, radii, multiplicities, the
+    largest radius each may grow to, and each counted disc's wide disc (-1
+    for the others).
     """
     cap = np.full(len(centers), limit)
     parent = np.full(len(centers), -1)
     mult = mult.copy()
     for k in np.flatnonzero(radii > limit).tolist():
-        for i in groups[k][groups[k] < len(z)].tolist():
-            counted = _count_rule(q, complex(z[i]), limit)
-            if counted is None:
+        points = [complex(centers[k])] + z[groups[k][groups[k] < len(z)]].tolist()
+        for j, w in enumerate(points):
+            inside = _meet(centers, radii, w, 0.0)
+            inside[k] = False
+            if inside.any():
                 continue
-            m, lo, hi = counted
-            meet = _meet(np.append(centers, z[i]), np.append(radii, lo))[-1, :-1]
+            counts = _count_rule(q, w, limit)
+            if not counts:
+                continue
+            m, lo, hi = counts[-1 if j == 0 else 0]
+            meet = _meet(centers, radii, w, lo)
             meet[k] = False
             if meet.any():
                 continue
-            centers, radii = np.append(centers, z[i]), np.append(radii, lo)
+            centers, radii = np.append(centers, w), np.append(radii, lo)
             mult, cap, parent = np.append(mult, m), np.append(cap, min(limit, hi / _ROUND_UP)), np.append(parent, k)
             mult[k] -= m
     return centers, radii, mult, cap, parent
@@ -714,10 +679,11 @@ def isolate_complex_roots(
     - Meeting discs are merged into enclosing discs until none meet; each
       merged disc holds the sum of its multiplicities.  A disc that meets
       the zero roots' disc is merged with it.
-    - In a disc still wider than ``rho * sqrt(2)``, each point gets the
-      count rule (``_count_rule``): the certified distances from it to all
-      roots, where the m nearest end before the next begins, certify a disc
-      of m roots about it (``_counted``).
+    - A disc still wider than ``rho * sqrt(2)``, of a cluster as of badly
+      conditioned roots, gets the count rule (``_count_rule``) about its
+      center, then about each of its points: the certified distances from a
+      point to all roots, where the m nearest end before the next begins,
+      certify a disc of m roots about it (``_counted``).
     - Each disc then grows toward ``rho * sqrt(2)`` while the discs stay
       pairwise disjoint.  A disc wider than ``rho * sqrt(2)`` (also one
       whose bound is not finite) is returned in ``unresolved`` as a

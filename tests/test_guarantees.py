@@ -233,8 +233,9 @@ def test_wilkinson_roots_counted_inside_a_wide_smith_disc(rho, least):
     ],
 )
 def test_count_rule_counts_mpmath_roots(p):
-    # at points near each root and between roots, the count rule's disc holds
-    # exactly m roots at every radius from lo up to (not including) hi
+    # at points near each root and between roots, each of the count rule's
+    # discs holds exactly m roots at every radius from lo up to (not
+    # including) hi
     roots = _mp_roots(p)
     q = np.asarray(p.coeffs, dtype=np.complex128)
     ref = np.array([complex(z) for z in roots])
@@ -243,17 +244,24 @@ def test_count_rule_counts_mpmath_roots(p):
     points += [(a + b) / 2 for a, b in zip(ref, np.roll(ref, 1))]
     hits = 0
     for w in points:
-        counted = complexiso._count_rule(q, complex(w), 10.0)
-        if counted is None:
-            continue
-        m, lo, hi = counted
-        assert lo < hi
+        counts = complexiso._count_rule(q, complex(w), 10.0)
         with mpmath.workdps(30):
             d = [abs(z - mpmath.mpc(w)) for z in roots]
-            assert sum(x <= lo for x in d) == m, (w, counted)
-            assert sum(x < hi for x in d) == m, (w, counted)
-        hits += 1
+            for m, lo, hi in counts:
+                assert lo < hi
+                assert sum(x <= lo for x in d) == m, (w, counts)
+                assert sum(x < hi for x in d) == m, (w, counts)
+        hits += bool(counts)
     assert hits >= len(points) // 2
+
+
+def test_count_rule_certifies_all_n_roots():
+    # about a five-fold root the nearest m < 5 never end before the next
+    # begin; r_6 is taken as inf, so the disc of all 5 roots is certified
+    q = np.poly([1.0] * 5)[::-1].astype(np.complex128)
+    [(m, lo, hi)] = complexiso._count_rule(q, 1.0 + 1e-4, 10.0)
+    assert (m, hi) == (5, math.inf)
+    assert 1e-4 <= lo <= 10.0
 
 
 def test_counted_discs_never_count_one_root_twice():
@@ -275,12 +283,52 @@ def test_counted_discs_never_count_one_root_twice():
             assert _disjoint(_fc(centers[i]), cap[i], _fc(centers[j]), cap[j])
 
 
-@pytest.mark.parametrize("p, mults", [(Polynomial(TRIPLE), [1, 3]), (Polynomial(CLUSTER), [1, 3])])
+def test_points_inside_another_disc_are_not_counted(monkeypatch):
+    # the second point next to the root 1 lies inside the first one's counted
+    # disc: its own counted disc would meet that one and be dropped, so the
+    # count rule is not run there, and the discs are those without the point
+    p = Polynomial(np.poly(np.arange(1.0, 11.0))[::-1])
+    q = np.asarray(p.coeffs, dtype=np.complex128)
+    z = np.array([1.0 + 1e-7, 1.0 + 1.5e-7] + list(range(3, 11)), dtype=np.complex128)
+    near = []
+    count_rule = complexiso._count_rule
+
+    def counting(q, w, limit):
+        near.append(abs(w - 1.0) < 1e-3)
+        return count_rule(q, w, limit)
+
+    monkeypatch.setattr(complexiso, "_count_rule", counting)
+    wide = (np.array([5.5 + 0j]), np.array([20.0]), np.array([10]))
+    _, radii, mult, _, parent = complexiso._counted(q, z, *wide, [np.arange(10)], 1e-2)
+    assert sum(near) == 1
+    _, radii1, mult1, _, parent1 = complexiso._counted(q, np.delete(z, 1), *wide, [np.arange(9)], 1e-2)
+    assert np.array_equal(mult, mult1) and np.array_equal(radii, radii1) and np.array_equal(parent, parent1)
+
+
+@pytest.mark.parametrize(
+    "p, mults",
+    [
+        (Polynomial(TRIPLE), [(1, -2.0), (3, 1.0)]),
+        (Polynomial(CLUSTER), [(1, 5.0), (3, 1.0)]),
+        (Polynomial(np.poly([1.0] * 3)[::-1]), [(3, 1.0)]),
+        (Polynomial(np.poly([1.0] * 5)[::-1]), [(5, 1.0)]),
+        (Polynomial(np.poly([1.0] * 5 + [-2.0])[::-1]), [(1, -2.0), (5, 1.0)]),
+        (Polynomial(np.poly([1j] * 4 + [-1.0] * 3)[::-1]), [(3, -1.0), (4, 1j)]),
+        (Polynomial(np.poly([1.0] * 8)[::-1]), [(8, 1.0)]),
+        (Polynomial(np.poly([0.7] * 4 + [-1.71])[::-1]), [(1, -1.71), (4, 0.7)]),
+    ],
+)
 def test_clusters_are_one_disc(p, mults):
+    # (multiplicity, root) pairs: the coefficients are integers or Gaussian
+    # integers, so the roots are exact (the 1e-9 cluster's lie within 1e-5).
+    # The rounded coefficients of (x - 0.7)**4 (x + 1.71) split the four-fold
+    # root about 1e-4 apart, with the mean within rounding of 0.7; one disc
+    # of all four holds that mean
     res = rr.isolate_complex_roots(p, 1e-3, 0.05, 0)
-    assert sorted(i.multiplicity for i in res.inclusions) == mults
-    big = max(res.inclusions, key=lambda i: i.multiplicity)
-    assert abs(big.disc_center - 1.0) <= 1e-3 * math.sqrt(2.0)
+    assert sorted(i.multiplicity for i in res.inclusions) == [m for m, _ in mults]
+    for inc in res.inclusions:
+        d = abs(inc.disc_center - dict(mults)[inc.multiplicity])
+        assert d <= 1e-3 * math.sqrt(2.0) and d <= inc.disc_radius, inc
 
 
 def test_large_degree_recall():
