@@ -546,12 +546,12 @@ def _certified_from(q, z, nzero, limit):
         centers = np.append(centers, 0j)
         radii, mult = np.append(radii, 0.0), np.append(mult, nzero)
     centers, radii, mult, groups = _disjoint_discs(centers, radii, mult)
-    centers, radii, mult, cap, parent = _counted(q, z, centers, radii, mult, groups, limit)
+    centers, radii, mult, cap, parent = _counted(q, z, nzero, centers, radii, mult, groups, limit)
     radii = _grown(centers, radii, cap, parent)
     return centers, radii, mult, sweeps, frozen, int((parent >= 0).sum())
 
 
-def _count_rule(q, w, limit):
+def _count_rule(q, w, limit, outer=math.inf):
     """The m for which the distances from ``w`` certify m roots in a disc about it within ``limit``.
 
     ``distances_from_point`` bounds the distances ``r_1 <= ... <= r_n`` from
@@ -559,9 +559,11 @@ def _count_rule(q, w, limit):
     ``_ROUND_UP`` for the float hull's own rounding.  Where the m nearest end
     before the next begins, ``r_m f < r_{m+1} / f``, every disc ``D(w, R)``
     with ``r_m f <= R < r_{m+1} / f`` holds exactly m roots; with ``r_{n+1}
-    = inf``, m runs up to n.  Returns (m, ``r_m f``, ``r_{m+1} / f``) for
-    each such m with ``r_m f <= limit``, in increasing m: empty where there
-    is none or the distances raise PrecisionLossError.
+    = inf``, m runs up to n.  Roots that are not roots of ``q`` (the split-off
+    zero roots) lie no nearer to ``w`` than ``outer``, which caps every such
+    ``R`` too.  Returns (m, ``r_m f``, ``min(r_{m+1} / f, outer)``) for each
+    such m with ``r_m f <= limit``, in increasing m: empty where there is
+    none or the distances raise PrecisionLossError.
     """
     try:
         est = distances_from_point(Polynomial(q), w, _START_TARGET)
@@ -571,7 +573,7 @@ def _count_rule(q, w, limit):
     r = est.radii[::-1].tolist() + [math.inf]
     counts = []
     for m in range(1, len(r)):
-        lo, hi = r[m - 1] * f, r[m] / f
+        lo, hi = r[m - 1] * f, min(r[m] / f, outer)
         if not lo <= limit:
             break
         if lo < hi:
@@ -579,42 +581,59 @@ def _count_rule(q, w, limit):
     return counts
 
 
-def _counted(q, z, centers, radii, mult, groups, limit):
-    """Discs that the count rule certifies about the center and the points of each wide disc.
+def _counted(q, z, nzero, centers, radii, mult, groups, limit):
+    """Discs that the count rule certifies about the points and the center of each wide disc.
 
     Smith's discs of roots whose values drown in rounding, a cluster's or
     badly conditioned ones, can merge roots that narrower discs isolate.
-    Each wide disc's center gets the count rule (``_count_rule``) with the
-    largest m, which takes a cluster whole even where no point came near
-    one of its roots; then each of its points gets it with the smallest m,
-    but for a point inside another disc, whose counted disc would meet it.
-    A counted disc that meets no disc but its own wide one holds roots of
-    that wide disc, whose multiplicity drops by as many.  Returns the discs
-    with the counted ones appended: centers, radii, multiplicities, the
-    largest radius each may grow to, and each counted disc's wide disc (-1
-    for the others).
+    Each point of a wide disc gets the count rule (``_count_rule``) with the
+    smallest m, but for a point inside another disc, whose counted disc
+    would meet it.  A counted disc that meets no disc but its own wide one
+    holds roots of that wide disc, whose multiplicity drops by as many.
+    Where the points leave roots of ``q`` uncounted, the disc's center gets
+    the count rule too, kept only if it takes all the disc's roots of ``q``,
+    in place of the points' discs: that takes a cluster whole even where no
+    point came near one of its roots.  The count rule counts the roots of
+    ``q``, so its discs stay short of the ``nzero`` roots at 0; once a wide
+    disc that holds those has all its roots of ``q`` counted, the exact disc
+    ``(0, 0)`` takes the rest.  Returns the discs with the counted ones
+    appended: centers, radii, multiplicities, the largest radius each may
+    grow to, and each counted disc's wide disc (-1 for the others).
     """
     cap = np.full(len(centers), limit)
     parent = np.full(len(centers), -1)
     mult = mult.copy()
     for k in np.flatnonzero(radii > limit).tolist():
-        points = [complex(centers[k])] + z[groups[k][groups[k] < len(z)]].tolist()
-        for j, w in enumerate(points):
-            inside = _meet(centers, radii, w, 0.0)
+        points = z[groups[k][groups[k] < len(z)]].tolist()
+        start, zeros = len(centers), nzero if len(z) in groups[k] else 0
+        for j, w in enumerate(points + [complex(centers[k])]):
+            center = j == len(points)
+            if center and mult[k] == zeros:  # the points counted every root of q
+                break
+            n = start if center else len(centers)
+            inside = _meet(centers[:n], radii[:n], w, 0.0)
             inside[k] = False
             if inside.any():
                 continue
-            counts = _count_rule(q, w, limit)
+            counts = _count_rule(q, w, limit, abs(w) / _ROUND_UP if nzero else math.inf)
+            counts = [c for c in counts if not center or c[0] == len(points)]
             if not counts:
                 continue
-            m, lo, hi = counts[-1 if j == 0 else 0]
-            meet = _meet(centers, radii, w, lo)
+            m, lo, hi = counts[0]
+            meet = _meet(centers[:n], radii[:n], w, lo)
             meet[k] = False
             if meet.any():
                 continue
+            if center:  # in place of the points' discs
+                mult[k] = zeros + len(points)
+                centers, radii, mult, cap, parent = centers[:n], radii[:n], mult[:n], cap[:n], parent[:n]
             centers, radii = np.append(centers, w), np.append(radii, lo)
             mult, cap, parent = np.append(mult, m), np.append(cap, min(limit, hi / _ROUND_UP)), np.append(parent, k)
             mult[k] -= m
+        if zeros and mult[k] == zeros:  # all its roots of q counted: the rest lie at 0
+            centers, radii = np.append(centers, 0j), np.append(radii, 0.0)
+            mult, cap, parent = np.append(mult, zeros), np.append(cap, 0.0), np.append(parent, -1)
+            mult[k] = 0
     return centers, radii, mult, cap, parent
 
 
@@ -680,10 +699,12 @@ def isolate_complex_roots(
       merged disc holds the sum of its multiplicities.  A disc that meets
       the zero roots' disc is merged with it.
     - A disc still wider than ``rho * sqrt(2)``, of a cluster as of badly
-      conditioned roots, gets the count rule (``_count_rule``) about its
-      center, then about each of its points: the certified distances from a
-      point to all roots, where the m nearest end before the next begins,
-      certify a disc of m roots about it (``_counted``).
+      conditioned roots, gets the count rule (``_count_rule``) about each of
+      its points: the certified distances from a point to all roots of
+      ``q``, where the m nearest end before the next begins, certify a disc
+      of m roots about it (``_counted``).  Where roots are left, the count
+      rule about the disc's center may take all of them in one disc.  These
+      discs stay short of the zero roots.
     - Each disc then grows toward ``rho * sqrt(2)`` while the discs stay
       pairwise disjoint.  A disc wider than ``rho * sqrt(2)`` (also one
       whose bound is not finite) is returned in ``unresolved`` as a

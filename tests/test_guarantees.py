@@ -207,13 +207,16 @@ def test_every_disc_holds_its_multiplicity(p):
             assert inc.failure_prob_bound == 0.0
 
 
-@pytest.mark.parametrize("rho, least", [(1e-2, 20), (1e-3, 13)])
+@pytest.mark.parametrize("rho, least", [(1e-2, 20), (1e-3, 13), (0.4, 20), (1.0, 20), (3.0, 20)])
 def test_wilkinson_roots_counted_inside_a_wide_smith_disc(rho, least):
     # the Smith radii of the roots near 15 come out near 170 and swallow the
-    # others; the count rule certifies the points one by one
+    # others; the count rule certifies the points one by one.  The wide
+    # disc's center (about 10.5) counts 2 roots from rho 0.4 on and 8 at
+    # rho 3, never all 20, so it must not lump the roots the points isolate
     p = Polynomial(np.poly(np.arange(1.0, 21.0))[::-1])
     res = rr.isolate_complex_roots(p, rho, 0.05, 0)
     assert res.stats["counted"] >= least
+    assert all(i.multiplicity == 1 for i in res.inclusions)
     assert sum(i.multiplicity for i in res.inclusions) >= least
     assert sum(i.multiplicity for i in res.inclusions + res.unresolved) == 20
     roots = _mp_roots(p)
@@ -271,7 +274,7 @@ def test_counted_discs_never_count_one_root_twice():
     q = np.asarray(p.coeffs, dtype=np.complex128)
     z = np.array([1.0 + 1e-7, 1.0 - 1e-7j] + list(range(3, 11)), dtype=np.complex128)
     centers, radii, mult, cap, parent = complexiso._counted(
-        q, z, np.array([5.5 + 0j]), np.array([20.0]), np.array([10]), [np.arange(10)], 1e-2
+        q, z, 0, np.array([5.5 + 0j]), np.array([20.0]), np.array([10]), [np.arange(10)], 1e-2
     )
     counted = np.flatnonzero(parent >= 0)
     assert mult[0] + mult[counted].sum() == 10
@@ -293,15 +296,15 @@ def test_points_inside_another_disc_are_not_counted(monkeypatch):
     near = []
     count_rule = complexiso._count_rule
 
-    def counting(q, w, limit):
+    def counting(q, w, *args):
         near.append(abs(w - 1.0) < 1e-3)
-        return count_rule(q, w, limit)
+        return count_rule(q, w, *args)
 
     monkeypatch.setattr(complexiso, "_count_rule", counting)
     wide = (np.array([5.5 + 0j]), np.array([20.0]), np.array([10]))
-    _, radii, mult, _, parent = complexiso._counted(q, z, *wide, [np.arange(10)], 1e-2)
+    _, radii, mult, _, parent = complexiso._counted(q, z, 0, *wide, [np.arange(10)], 1e-2)
     assert sum(near) == 1
-    _, radii1, mult1, _, parent1 = complexiso._counted(q, np.delete(z, 1), *wide, [np.arange(9)], 1e-2)
+    _, radii1, mult1, _, parent1 = complexiso._counted(q, np.delete(z, 1), 0, *wide, [np.arange(9)], 1e-2)
     assert np.array_equal(mult, mult1) and np.array_equal(radii, radii1) and np.array_equal(parent, parent1)
 
 
@@ -329,6 +332,40 @@ def test_clusters_are_one_disc(p, mults):
     for inc in res.inclusions:
         d = abs(inc.disc_center - dict(mults)[inc.multiplicity])
         assert d <= 1e-3 * math.sqrt(2.0) and d <= inc.disc_radius, inc
+
+
+def test_counted_discs_stay_short_of_the_zero_roots():
+    # a wide disc holds the zero root of x (x - 1) (x + 3) and the points
+    # 0.1 and -3.  Seen from 0.1, the root 1 of q is the nearest, but 0 lies
+    # nearer still: a disc about 0.1 that takes in 1 takes in 0 as well
+    q = np.poly([1.0, -3.0])[::-1].astype(np.complex128)
+    z = np.array([0.1, -3.0], dtype=np.complex128)
+    centers, radii, mult, cap, parent = complexiso._counted(
+        q, z, 1, np.array([-1.0 + 0j]), np.array([5.0]), np.array([3]), [np.arange(3)], 2.0
+    )
+    counted = np.flatnonzero((parent >= 0) & (mult > 0))
+    assert len(counted)
+    for i in counted:
+        for r in (radii[i], cap[i]):
+            assert sum(abs(x - centers[i]) <= r for x in (0.0, 1.0, -3.0)) == mult[i], (centers[i], r)
+
+
+@pytest.mark.parametrize(
+    "zeros, a, k, rho",
+    [(1, 1.0, 8, 0.79), (1, 1.0, 8, 3.0), (2, 2.0, 8, 1.54), (1, 1j, 6, 1.1), (1, 0.5, 12, 0.57)],
+)
+def test_counted_discs_keep_out_the_zero_roots(zeros, a, k, rho):
+    # x**zeros (x - a)**k, with exact coefficients and so exact roots: the
+    # Smith discs about a reach 0 and take the zero roots' disc in, and
+    # rho*sqrt(2) exceeds the distance from a counted disc's center to 0.
+    # A counted disc of the k roots must stop short of 0, and the zero roots
+    # then come out as their exact disc
+    roots = [0.0] * zeros + [a] * k
+    res = rr.isolate_complex_roots(Polynomial(np.poly(roots)[::-1]), rho, 0.05, 0)
+    assert res.unresolved == ()
+    assert sorted(i.multiplicity for i in res.inclusions) == sorted([zeros, k])
+    for inc in res.inclusions:
+        assert sum(abs(r - inc.disc_center) <= inc.disc_radius for r in roots) == inc.multiplicity, inc
 
 
 def test_large_degree_recall():
